@@ -27,7 +27,9 @@ from coordfuse.model import (
     backward,
     build,
     forward,
+    forward_many,
     load_checkpoint,
+    param_shapes,
     predict,
     predict_many,
     save_checkpoint,

@@ -19,14 +19,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from coordfuse.dataset import (
     CsvFormatError,
     CubeFormatError,
-    DataCube,
     SplitSpec,
     coord_features,
     extract_samples,
@@ -50,12 +50,11 @@ from coordfuse.evaluation import (
 )
 from coordfuse.model import (
     CheckpointError,
-    DualBranchModel,
     ModelConfig,
     build,
-    forward,
+    forward_many,
     load_checkpoint,
-    predict,
+    predict_many,
     save_checkpoint,
 )
 from coordfuse.numerics import create_rng
@@ -73,42 +72,20 @@ class UsageError(Exception):
     """Bad arguments or a malformed/incomplete config file."""
 
 
-_MODEL_KEYS = {
-    "conv_filters": 20,
-    "kernel_len": 10,
-    "pool_width": 2,
-    "pool_stride": 2,
-    "dense_width": 100,
-    "coord_hidden": 256,
-    "keep_prob": 0.75,
-}
-_TRAIN_KEYS = {
-    "learning_rate": 1e-3,
-    "beta1": 0.9,
-    "beta2": 0.999,
-    "epsilon": 1e-8,
-    "batch_size": 64,
-    "max_epochs": 500,
-}
-_CRF_KEYS = {
-    "w1": 1.0,
-    "w2": 1.0,
-    "theta_alpha": 8.0,
-    "theta_beta": 0.5,
-    "theta_gamma": 3.0,
-}
-_TOP_KEYS = (
-    "cube",
-    "labels",
-    "fraction",
-    "seed",
-    "min_per_class",
-    "out_dir",
-    "model",
-    "train",
-    "crf",
-    "appearance_bands",
-)
+# Section fields that `run` sets per model rather than reading from the config.
+_RUN_SET_FIELDS = ("num_bands", "num_classes", "baseline", "seed")
+
+_KINDS = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _defaults(cls) -> dict:
+    """The config keys of a hyperparameter dataclass, with its defaults."""
+    return {f.name: f.default for f in fields(cls) if f.name not in _RUN_SET_FIELDS}
+
+
+def _section(cls):
+    """A config section holding the keys of `cls`, defaulting to its defaults."""
+    return field(default_factory=lambda: _defaults(cls), metadata={"section": cls})
 
 
 @dataclass
@@ -119,10 +96,10 @@ class ExperimentConfig:
     seed: int = 0
     min_per_class: int = 2
     out_dir: str = "out"
-    model: dict = field(default_factory=lambda: dict(_MODEL_KEYS))
-    train: dict = field(default_factory=lambda: dict(_TRAIN_KEYS))
-    crf: dict = field(default_factory=lambda: dict(_CRF_KEYS))
-    appearance_bands: list = field(default_factory=lambda: [0, 1, 2])
+    model: dict = _section(ModelConfig)
+    train: dict = _section(TrainConfig)
+    crf: dict = _section(CrfParams)
+    appearance_bands: list[int] = field(default_factory=lambda: [0, 1, 2])
 
     def model_config(self, num_bands: int, num_classes: int, baseline: bool) -> ModelConfig:
         return ModelConfig(
@@ -136,25 +113,40 @@ class ExperimentConfig:
         return CrfParams(**self.crf)
 
 
-def _merge_group(raw: dict, defaults: dict, group: str) -> dict:
+def _typed(key: str, val, kind):
+    """`val` if it has the field type `kind`. Ints widen to float; nothing
+    else is converted, and a bool is never a number."""
+    if get_origin(kind) is list:
+        if not isinstance(val, list) or not val:
+            raise UsageError(f"{key} must be a non-empty list")
+        (item,) = get_args(kind)
+        return [_typed(f"{key}[{i}]", v, item) for i, v in enumerate(val)]
+    if kind is not str and isinstance(val, bool):
+        raise UsageError(f"{key} must be a number, got {val!r}")
+    if kind is float and isinstance(val, int):
+        return float(val)
+    if not isinstance(val, kind):
+        raise UsageError(f"{key} must be {_KINDS[kind]}, got {val!r}")
+    return val
+
+
+def _merge_section(raw, cls, name: str) -> dict:
     if not isinstance(raw, dict):
-        raise UsageError(f"config section {group!r} must be an object")
-    unknown = set(raw) - set(defaults)
+        raise UsageError(f"config section {name!r} must be an object")
+    merged = _defaults(cls)
+    unknown = set(raw) - set(merged)
     if unknown:
-        raise UsageError(f"unknown keys in config section {group!r}: {sorted(unknown)}")
-    merged = dict(defaults)
+        raise UsageError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
+    hints = get_type_hints(cls)
     for key, val in raw.items():
-        if isinstance(val, bool):
-            raise UsageError(f"{group}.{key} must be a number, got {val!r}")
-        if isinstance(defaults[key], int):
-            if not isinstance(val, int):
-                raise UsageError(f"{group}.{key} must be an integer, got {val!r}")
-            merged[key] = val
-        else:
-            if not isinstance(val, (int, float)):
-                raise UsageError(f"{group}.{key} must be a number, got {val!r}")
-            merged[key] = float(val)
+        merged[key] = _typed(f"{name}.{key}", val, hints[key])
     return merged
+
+
+def _check_seed(seed: int) -> None:
+    # The baseline trains with seed + 2, which must still be a 64-bit seed.
+    if not 0 <= seed < 2**64 - 2:
+        raise UsageError(f"seed must lie in [0, 2**64 - 2), got {seed}")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -168,72 +160,40 @@ def load_config(path) -> ExperimentConfig:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError(f"config {path} must be a JSON object")
-    unknown = set(raw) - set(_TOP_KEYS)
+    top = {f.name: f for f in fields(ExperimentConfig)}
+    unknown = set(raw) - set(top)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("cube", "labels"):
-        if key not in raw or not isinstance(raw[key], str):
-            raise UsageError(f"config must set {key!r} to a path string")
+    hints = get_type_hints(ExperimentConfig)
+    values = {}
+    for key, f in top.items():
+        if key in raw:
+            section = f.metadata.get("section")
+            if section:
+                values[key] = _merge_section(raw[key], section, key)
+            else:
+                values[key] = _typed(key, raw[key], hints[key])
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise UsageError(f"config must set {key!r}")
+    cfg = ExperimentConfig(**values)
 
-    cfg = ExperimentConfig(cube=raw["cube"], labels=raw["labels"])
+    if not 0.0 < cfg.fraction < 1.0:
+        raise UsageError(f"fraction must lie in (0, 1), got {cfg.fraction}")
+    _check_seed(cfg.seed)
+    if cfg.min_per_class < 0:
+        raise UsageError(f"min_per_class must be non-negative, got {cfg.min_per_class}")
+    if min(cfg.appearance_bands) < 0:
+        raise UsageError("appearance_bands must be non-negative band indices")
+    # Fail on bad hyperparameter values now, not mid-run. The dummy band
+    # count is generous so only data-independent problems trip here.
     try:
-        if "fraction" in raw:
-            cfg.fraction = float(raw["fraction"])
-        if "seed" in raw:
-            cfg.seed = int(raw["seed"])
-        if "min_per_class" in raw:
-            cfg.min_per_class = int(raw["min_per_class"])
-        if "out_dir" in raw:
-            cfg.out_dir = str(raw["out_dir"])
-        cfg.model = _merge_group(raw.get("model", {}), _MODEL_KEYS, "model")
-        cfg.train = _merge_group(raw.get("train", {}), _TRAIN_KEYS, "train")
-        cfg.crf = _merge_group(raw.get("crf", {}), _CRF_KEYS, "crf")
-        if "appearance_bands" in raw:
-            bands = raw["appearance_bands"]
-            if not isinstance(bands, list) or not bands:
-                raise UsageError("appearance_bands must be a non-empty list")
-            cfg.appearance_bands = [int(b) for b in bands]
-        if not 0.0 < cfg.fraction < 1.0:
-            raise UsageError(f"fraction must lie in (0, 1), got {cfg.fraction}")
-        if min(cfg.appearance_bands) < 0:
-            raise UsageError("appearance_bands must be non-negative band indices")
-        # Fail on bad hyperparameter values now, not mid-run. The dummy band
-        # count is generous so only data-independent problems trip here.
         cfg.train_config(seed=0).validate()
         cfg.crf_params().validate()
         dummy_bands = cfg.model["kernel_len"] + cfg.model["pool_width"] + 8
         cfg.model_config(num_bands=dummy_bands, num_classes=2, baseline=False).validate()
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad config value: {exc}") from exc
     return cfg
-
-
-def _predict_raster(model: DualBranchModel, norm: DataCube) -> np.ndarray:
-    """Class id for every pixel of the image, labeled or not."""
-    h, w = norm.height, norm.width
-    out = np.zeros((h, w), dtype=np.int64)
-    for r in range(h):
-        for c in range(w):
-            out[r, c] = predict(model, norm.values[r, c], coord_features(r, c, h, w))
-    return out
-
-
-def _predict_crop(model: DualBranchModel, norm: DataCube, crop):
-    """(labeling, probmap) over a crop; coords stay in the full-image frame."""
-    r0, c0, ch, cw = crop
-    h, w = norm.height, norm.width
-    k = model.config.num_classes
-    labeling = np.zeros((ch, cw), dtype=np.int64)
-    probmap = np.zeros((ch, cw, k))
-    for i in range(ch):
-        for j in range(cw):
-            r, c = r0 + i, c0 + j
-            probs, _ = forward(
-                model, norm.values[r, c], coord_features(r, c, h, w)
-            )
-            labeling[i, j] = int(np.argmax(probs)) + 1
-            probmap[i, j] = probs
-    return labeling, probmap
 
 
 def cmd_convert(args) -> int:
@@ -248,8 +208,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.seed < 0:
-        raise UsageError(f"seed must be non-negative, got {args.seed}")
+    _check_seed(args.seed)
     rng = create_rng(args.seed)
     cube, labels = generate_synthetic(
         rng,
@@ -268,22 +227,12 @@ def cmd_synth(args) -> int:
         f"with {labels.num_classes} classes"
     )
     if args.emit_config:
-        model_keys = dict(_MODEL_KEYS)
+        config = asdict(ExperimentConfig(cube=args.cube, labels=args.labels, seed=args.seed))
+        config["appearance_bands"] = [b for b in config["appearance_bands"] if b < cube.bands]
         # Shrink the kernel when the cube is too narrow for the default.
+        model_keys = config["model"]
         max_kernel = cube.bands - model_keys["pool_width"] + 1
         model_keys["kernel_len"] = max(1, min(model_keys["kernel_len"], max_kernel))
-        config = {
-            "cube": args.cube,
-            "labels": args.labels,
-            "fraction": 0.05,
-            "seed": args.seed,
-            "min_per_class": 2,
-            "out_dir": "out",
-            "model": model_keys,
-            "train": dict(_TRAIN_KEYS),
-            "crf": dict(_CRF_KEYS),
-            "appearance_bands": list(range(min(3, cube.bands))),
-        }
         with open(args.emit_config, "w", newline="") as f:
             json.dump(config, f, indent=2, sort_keys=True)
             f.write("\n")
@@ -294,6 +243,7 @@ def cmd_synth(args) -> int:
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
+        _check_seed(args.seed)
         cfg.seed = args.seed
     if args.out_dir is not None:
         cfg.out_dir = args.out_dir
@@ -315,6 +265,9 @@ def cmd_run(args) -> int:
     train_set = extract_samples(norm, labels, train_idx)
     test_set = extract_samples(norm, labels, test_idx)
     train_counts = np.bincount(train_set.labels, minlength=k + 1)[1:]
+    h, w = cube.height, cube.width
+    raster_features = norm.values.reshape(h * w, cube.bands)
+    raster_coords = coord_features(*np.indices((h, w)), h, w).reshape(h * w, 2)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     palette = default_palette(k)
@@ -334,9 +287,7 @@ def cmd_run(args) -> int:
             cfg.train_config(seed),
             rng=rng,
         )
-        preds = np.empty(len(test_set), dtype=np.int64)
-        for i in range(len(test_set)):
-            preds[i] = predict(model, test_set.features[i], test_set.coords[i])
+        preds = predict_many(model, test_set.features, test_set.coords)
         report = metrics(confusion(preds, test_set.labels, num_classes=k))
         write_report(
             report,
@@ -344,7 +295,7 @@ def cmd_run(args) -> int:
             train_counts=train_counts,
         )
         render_map(
-            _predict_raster(model, norm),
+            predict_many(model, raster_features, raster_coords).reshape(h, w),
             palette,
             os.path.join(cfg.out_dir, prefix + "map.ppm"),
         )
@@ -387,7 +338,13 @@ def cmd_energy(args) -> int:
             f"{cube.bands} bands"
         )
     norm = normalize_cube(cube)
-    appearance = norm.values[r0 : r0 + ch, c0 : c0 + cw, cfg.appearance_bands]
+    window = norm.values[r0 : r0 + ch, c0 : c0 + cw]
+    appearance = window[:, :, cfg.appearance_bands]
+    crop_features = window.reshape(ch * cw, cube.bands)
+    # Coordinates stay in the full-image frame.
+    rows, cols = np.indices((ch, cw))
+    crop_coords = coord_features(r0 + rows, c0 + cols, cube.height, cube.width)
+    crop_coords = crop_coords.reshape(ch * cw, 2)
 
     dual_path = args.dual_ckpt or os.path.join(cfg.out_dir, "model.ckpt")
     base_path = args.baseline_ckpt or os.path.join(cfg.out_dir, "baseline_model.ckpt")
@@ -399,7 +356,9 @@ def cmd_energy(args) -> int:
             raise ValueError(
                 f"{path} expects {model.config.num_bands} bands, cube has {cube.bands}"
             )
-        labeling, probmap = _predict_crop(model, norm, crop)
+        probs = forward_many(model, crop_features, crop_coords)
+        labeling = (np.argmax(probs, axis=1) + 1).reshape(ch, cw)
+        probmap = probs.reshape(ch, cw, -1)
         energies[name] = dense_energy(labeling, probmap, appearance, params)
 
     print(f"baseline_energy={energies['baseline']:.6f}")

@@ -266,16 +266,24 @@ def normalize_cube(cube: DataCube) -> DataCube:
     return DataCube(scaled)
 
 
-def coord_features(row: int, col: int, height: int, width: int) -> np.ndarray:
+def coord_features(
+    row: int | np.ndarray, col: int | np.ndarray, height: int, width: int
+) -> np.ndarray:
     """Pixel position scaled to [0, 1] by the image extent.
 
+    Scalar `row`/`col` give a (2,) vector; arrays give (..., 2).
     Degenerate single-row or single-column images map that component to 0.
     """
-    if not (0 <= row < height and 0 <= col < width):
-        raise ValueError(f"pixel ({row}, {col}) outside {height}x{width} image")
-    r = row / (height - 1) if height > 1 else 0.0
-    c = col / (width - 1) if width > 1 else 0.0
-    return np.array([r, c], dtype=np.float64)
+    rows, cols = np.broadcast_arrays(row, col)
+    outside = (rows < 0) | (rows >= height) | (cols < 0) | (cols >= width)
+    if outside.any():
+        i = outside.argmax()
+        raise ValueError(
+            f"pixel ({rows.flat[i]}, {cols.flat[i]}) outside {height}x{width} image"
+        )
+    r = rows / (height - 1) if height > 1 else np.zeros(rows.shape)
+    c = cols / (width - 1) if width > 1 else np.zeros(cols.shape)
+    return np.stack([r, c], axis=-1).astype(np.float64)
 
 
 def stratified_split(
@@ -329,18 +337,11 @@ def extract_samples(cube: DataCube, labels: LabelMap, indices: np.ndarray) -> Sa
     if len(lab) and lab.min() < 1:
         bad = indices[lab < 1][0]
         raise ValueError(f"pixel ({bad[0]}, {bad[1]}) is unlabeled")
-    coords = np.stack(
-        [
-            rows / (cube.height - 1) if cube.height > 1 else np.zeros(len(rows)),
-            cols / (cube.width - 1) if cube.width > 1 else np.zeros(len(cols)),
-        ],
-        axis=1,
-    )
     return SampleSet(
         rows=rows.copy(),
         cols=cols.copy(),
         features=cube.values[rows, cols].astype(np.float64),
-        coords=coords.astype(np.float64),
+        coords=coord_features(rows, cols, cube.height, cube.width),
         labels=lab.astype(np.int64),
     )
 

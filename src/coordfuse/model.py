@@ -113,22 +113,10 @@ class DualBranchModel:
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Live parameter arrays in the fixed checkpoint order."""
-        params = {
-            "conv.weights": self.conv.weights,
-            "conv.bias": self.conv.bias,
-            "fc.weights": self.fc.weights,
-            "fc.bias": self.fc.bias,
-        }
-        if not self.config.baseline:
-            params.update(
-                {
-                    "coord1.weights": self.coord1.weights,
-                    "coord1.bias": self.coord1.bias,
-                    "coord2.weights": self.coord2.weights,
-                    "coord2.bias": self.coord2.bias,
-                }
-            )
-        params.update({"head.weights": self.head.weights, "head.bias": self.head.bias})
+        params = {}
+        for name in param_shapes(self.config):
+            layer, attr = name.split(".")
+            params[name] = getattr(getattr(self, layer), attr)
         return params
 
     def num_parameters(self) -> int:
@@ -154,40 +142,67 @@ class ForwardCache:
     probs: np.ndarray
 
 
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter, in checkpoint order.
+
+    Dense weights are (fan_in, fan_out); conv weights are (filters, kernel).
+    The baseline has no coord1/coord2 entries.
+    """
+    shapes = {
+        "conv.weights": (cfg.conv_filters, cfg.kernel_len),
+        "conv.bias": (cfg.conv_filters,),
+        "fc.weights": (cfg.flat_dim, cfg.dense_width),
+        "fc.bias": (cfg.dense_width,),
+    }
+    if not cfg.baseline:
+        shapes.update(
+            {
+                "coord1.weights": (2, cfg.coord_hidden),
+                "coord1.bias": (cfg.coord_hidden,),
+                "coord2.weights": (cfg.coord_hidden, cfg.dense_width),
+                "coord2.bias": (cfg.dense_width,),
+            }
+        )
+    shapes["head.weights"] = (cfg.dense_width, cfg.num_classes)
+    shapes["head.bias"] = (cfg.num_classes,)
+    return shapes
+
+
+def _assemble(config: ModelConfig, arrays: dict[str, np.ndarray]) -> DualBranchModel:
+    """The model holding `arrays`, keyed like param_shapes(config)."""
+
+    def dense(name: str, activation: str) -> Dense | None:
+        if f"{name}.weights" not in arrays:
+            return None
+        return Dense(arrays[f"{name}.weights"], arrays[f"{name}.bias"], activation)
+
+    return DualBranchModel(
+        config,
+        Conv1d(arrays["conv.weights"], arrays["conv.bias"]),
+        dense("fc", "relu"),
+        dense("coord1", "relu"),
+        dense("coord2", "relu"),
+        dense("head", "softmax"),
+    )
+
+
 def build(config: ModelConfig, rng: np.random.Generator) -> DualBranchModel:
     """Glorot-initialize all layers; biases start at zero.
 
-    Draw order is fixed (conv, fc, coord1, coord2, head) so a seed pins
-    every parameter.
+    Weights are drawn in param_shapes order (conv, fc, coord1, coord2, head)
+    so a seed pins every parameter.
     """
     config.validate()
-    conv = Conv1d(
-        weights=glorot_init(rng, config.kernel_len, config.conv_filters).T.copy(),
-        bias=np.zeros(config.conv_filters),
-    )
-    fc = Dense(
-        weights=glorot_init(rng, config.flat_dim, config.dense_width),
-        bias=np.zeros(config.dense_width),
-        activation="relu",
-    )
-    coord1 = coord2 = None
-    if not config.baseline:
-        coord1 = Dense(
-            weights=glorot_init(rng, 2, config.coord_hidden),
-            bias=np.zeros(config.coord_hidden),
-            activation="relu",
-        )
-        coord2 = Dense(
-            weights=glorot_init(rng, config.coord_hidden, config.dense_width),
-            bias=np.zeros(config.dense_width),
-            activation="relu",
-        )
-    head = Dense(
-        weights=glorot_init(rng, config.dense_width, config.num_classes),
-        bias=np.zeros(config.num_classes),
-        activation="softmax",
-    )
-    return DualBranchModel(config, conv, fc, coord1, coord2, head)
+    arrays = {}
+    for name, shape in param_shapes(config).items():
+        if name.endswith(".bias"):
+            arrays[name] = np.zeros(shape)
+        elif name == "conv.weights":
+            # Drawn as (kernel, filters) and stored transposed; seeds keep their bytes.
+            arrays[name] = glorot_init(rng, *shape[::-1]).T.copy()
+        else:
+            arrays[name] = glorot_init(rng, *shape)
+    return _assemble(config, arrays)
 
 
 def forward(
@@ -292,18 +307,27 @@ def predict(model: DualBranchModel, spectral: np.ndarray, coords: np.ndarray) ->
     return int(np.argmax(probs)) + 1
 
 
-def predict_many(
+def forward_many(
     model: DualBranchModel, features: np.ndarray, coords: np.ndarray
 ) -> np.ndarray:
-    """Vector of 1-based predictions for stacked (n, B) and (n, 2) inputs."""
+    """(n, K) inference-mode class distributions for stacked (n, B) and (n, 2)
+    inputs, one forward per row."""
     features = np.asarray(features, dtype=np.float64)
     coords = np.asarray(coords, dtype=np.float64)
     if len(features) != len(coords):
         raise ShapeError("features and coords row counts disagree")
-    out = np.empty(len(features), dtype=np.int64)
+    out = np.empty((len(features), model.config.num_classes))
     for i in range(len(features)):
-        out[i] = predict(model, features[i], coords[i])
+        out[i], _ = forward(model, features[i], coords[i])
     return out
+
+
+def predict_many(
+    model: DualBranchModel, features: np.ndarray, coords: np.ndarray
+) -> np.ndarray:
+    """Vector of 1-based predictions for stacked (n, B) and (n, 2) inputs;
+    ties break toward the lowest id."""
+    return np.argmax(forward_many(model, features, coords), axis=1) + 1
 
 
 def save_checkpoint(model: DualBranchModel, path) -> None:
@@ -334,40 +358,15 @@ def load_checkpoint(path) -> DualBranchModel:
         raise CheckpointError(f"{path}: bad config block: {exc}") from exc
     cfg.validate()
 
-    shapes = [
-        (cfg.conv_filters, cfg.kernel_len),
-        (cfg.conv_filters,),
-        (cfg.flat_dim, cfg.dense_width),
-        (cfg.dense_width,),
-    ]
-    if not cfg.baseline:
-        shapes += [
-            (2, cfg.coord_hidden),
-            (cfg.coord_hidden,),
-            (cfg.coord_hidden, cfg.dense_width),
-            (cfg.dense_width,),
-        ]
-    shapes += [(cfg.dense_width, cfg.num_classes), (cfg.num_classes,)]
-
     offset = 12 + cfg_len
-    arrays = []
-    for shape in shapes:
+    arrays = {}
+    for name, shape in param_shapes(cfg).items():
         n = int(np.prod(shape))
         end = offset + n * 8
         if end > len(data):
             raise CheckpointError(f"{path}: truncated parameter block")
-        arrays.append(np.frombuffer(data, dtype="<f8", count=n, offset=offset).reshape(shape).copy())
+        arrays[name] = np.frombuffer(data, dtype="<f8", count=n, offset=offset).reshape(shape).copy()
         offset = end
     if offset != len(data):
         raise CheckpointError(f"{path}: {len(data) - offset} trailing bytes")
-
-    conv = Conv1d(arrays[0], arrays[1])
-    fc = Dense(arrays[2], arrays[3], "relu")
-    if cfg.baseline:
-        coord1 = coord2 = None
-        head = Dense(arrays[4], arrays[5], "softmax")
-    else:
-        coord1 = Dense(arrays[4], arrays[5], "relu")
-        coord2 = Dense(arrays[6], arrays[7], "relu")
-        head = Dense(arrays[8], arrays[9], "softmax")
-    return DualBranchModel(cfg, conv, fc, coord1, coord2, head)
+    return _assemble(cfg, arrays)

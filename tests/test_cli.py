@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from coordfuse.cli import UsageError, load_config, main
 from coordfuse.dataset import load_cube, load_labels
 from coordfuse.evaluation import CrfParams, dense_energy
 from coordfuse.model import load_checkpoint
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(path, cube, labels, **overrides):
@@ -80,6 +84,23 @@ def test_load_config_defaults(tmp_path):
         ('{"cube": "a", "labels": "b", "train": {"learning_rate": -1}}', "learning rate"),
         ("[1, 2]", "object"),
         ("{not json", "JSON"),
+        ('{"cube": "a", "labels": "b", "seed": 1.7}', "seed"),
+        ('{"cube": "a", "labels": "b", "seed": "3"}', "seed"),
+        ('{"cube": "a", "labels": "b", "seed": true}', "seed"),
+        ('{"cube": "a", "labels": "b", "seed": -1}', "seed"),
+        ('{"cube": "a", "labels": "b", "seed": 18446744073709551615}', "seed"),
+        ('{"cube": "a", "labels": "b", "seed": 18446744073709551614}', "seed"),
+        ('{"cube": "a", "labels": "b", "fraction": "0.2"}', "fraction"),
+        ('{"cube": "a", "labels": "b", "fraction": true}', "fraction"),
+        ('{"cube": "a", "labels": "b", "out_dir": 5}', "out_dir"),
+        ('{"cube": "a", "labels": "b", "appearance_bands": [1.9]}', "appearance_bands"),
+        ('{"cube": "a", "labels": "b", "appearance_bands": [true]}', "appearance_bands"),
+        ('{"cube": "a", "labels": "b", "appearance_bands": [-1]}', "appearance_bands"),
+        ('{"cube": "a", "labels": "b", "appearance_bands": 0}', "appearance_bands"),
+        ('{"cube": "a", "labels": "b", "min_per_class": 1.5}', "min_per_class"),
+        ('{"cube": "a", "labels": "b", "min_per_class": -1}', "min_per_class"),
+        ('{"cube": 5, "labels": "b"}', "cube"),
+        ('{"cube": "a", "labels": "b", "model": []}', "model"),
     ],
 )
 def test_load_config_rejects(tmp_path, body, message):
@@ -317,3 +338,18 @@ def test_energy_missing_checkpoint_exits_2(tiny_experiment, tmp_path):
          "--out-dir", str(tmp_path / "empty"), "--crop", "0,0,4,4"]
     )
     assert rc == 2
+
+
+def test_readme_config_matches_emitted_defaults(tmp_path):
+    text = README.read_text().split("## Config file", 1)[1]
+    documented = json.loads(text.split("```json\n", 1)[1].split("```", 1)[0])
+    cfg_path = tmp_path / "cfg.json"
+    rc = main(
+        ["synth", str(tmp_path / "c.hcube"), str(tmp_path / "l.hlbl"),
+         "--bands", "30", "--seed", "0", "--emit-config", str(cfg_path)]
+    )
+    assert rc == 0
+    emitted = json.loads(cfg_path.read_text())
+    for key in ("cube", "labels"):
+        del documented[key], emitted[key]
+    assert documented == emitted

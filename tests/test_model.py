@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -12,6 +13,7 @@ from coordfuse.model import (
     build,
     forward,
     load_checkpoint,
+    param_shapes,
     predict,
     predict_many,
     save_checkpoint,
@@ -24,6 +26,14 @@ SMALL = dict(
     num_bands=16, num_classes=3, conv_filters=4, kernel_len=5,
     dense_width=10, coord_hidden=8,
 )
+
+# sha256 of the save_checkpoint bytes of build(ModelConfig(**SMALL,
+# baseline=b), create_rng(0)): pins the parameter names, shapes, Glorot draw
+# order and the DBM1 v1 file format.
+LAYOUT_SHA256 = {
+    False: "3dbd71a01be93d9faf2ef3c5e458e3fbfa22371cb44e96d33be21e8f43d5e08a",
+    True: "57e0073746f6040ec9b5f8ebca92f488e220a3d889e3e8ce152ba74db7d6c54f",
+}
 
 
 def small_model(seed=0, keep_prob=1.0, baseline=False):
@@ -272,3 +282,14 @@ def test_checkpoint_rejects_corruption(tmp_path):
     )
     with pytest.raises(CheckpointError, match="config"):
         load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("baseline", [False, True])
+def test_parameter_layout_is_pinned(tmp_path, baseline):
+    cfg = ModelConfig(**SMALL, baseline=baseline)
+    model = build(cfg, create_rng(0))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == LAYOUT_SHA256[baseline]
+    assert list(model.parameters()) == list(param_shapes(cfg))
+    assert [a.shape for a in model.parameters().values()] == list(param_shapes(cfg).values())
