@@ -1,10 +1,13 @@
 """Network primitives with explicit forward and backward passes.
 
-Everything works per sample: a spectral input is a flat float64 vector, a
-convolution output is (n_filters, length), dense layers map flat vectors to
-flat vectors. Each backward pass returns parameter gradients plus the
-gradient with respect to the layer input, and is validated against central
-finite differences in the test suite.
+Forward passes take one sample or a stack of samples along a leading batch
+axis: a spectral input is a flat float64 vector or an (n, bands) stack, a
+convolution output is (n_filters, length) or (n, n_filters, length), dense
+layers map (in_dim,) or (n, in_dim) to (out_dim,) or (n, out_dim). A sample
+without the batch axis runs the same code, so its result does not depend on
+whether it is stacked. Backward passes work per sample. Each returns parameter
+gradients plus the gradient with respect to the layer input, and is validated
+against central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -65,25 +68,30 @@ def relu(z: np.ndarray) -> np.ndarray:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax; invariant to adding a constant to `z`."""
-    shifted = z - np.max(z)
+    """Numerically stable softmax over the last axis; invariant to adding a
+    constant to `z`."""
+    shifted = z - np.max(z, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def conv1d_forward(layer: Conv1d, x: np.ndarray) -> np.ndarray:
-    """ReLU feature maps of shape (n_filters, len(x) - kernel_len + 1)."""
+    """ReLU feature maps of shape (..., n_filters, length - kernel_len + 1)
+    for one spectrum (length,) or a stack (n, length)."""
     x = np.asarray(x, dtype=np.float64)
     kernel_len = layer.weights.shape[1]
-    if x.ndim != 1:
-        raise ShapeError(f"conv1d expects a 1-d input, got shape {x.shape}")
-    if x.shape[0] < kernel_len:
+    if x.ndim not in (1, 2):
+        raise ShapeError(f"conv1d expects (length,) or (n, length), got shape {x.shape}")
+    if x.shape[-1] < kernel_len:
         raise ShapeError(
-            f"input length {x.shape[0]} is shorter than the kernel ({kernel_len})"
+            f"input length {x.shape[-1]} is shorter than the kernel ({kernel_len})"
         )
-    windows = sliding_window_view(x, kernel_len)  # (L, K)
-    pre = windows @ layer.weights.T + layer.bias  # (L, F)
-    return np.ascontiguousarray(relu(pre).T)
+    windows = sliding_window_view(x, kernel_len, axis=-1)  # (..., L, K)
+    # The overlapping window view has no BLAS layout, so numpy sums each output
+    # over the taps in order: a stacked spectrum gets the bits of a lone one.
+    pre = layer.weights @ windows.swapaxes(-1, -2)  # (..., F, L)
+    pre += layer.bias[:, None]
+    return np.maximum(pre, 0.0, out=pre)
 
 
 def conv1d_backward(
@@ -115,24 +123,34 @@ def conv1d_backward(
 def maxpool1d_forward(
     x: np.ndarray, width: int = 2, stride: int = 2
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Window maxima over the last axis of (n_maps, length) feature maps.
+    """Window maxima over the last axis of (n_maps, length) feature maps, or
+    of an (n, n_maps, length) stack of them.
 
     Returns (pooled, argmax) where argmax holds absolute column indices into
     `x` for backward routing. Ties take the earliest column; a trailing
     remainder shorter than `width` is dropped.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"maxpool expects (n_maps, length), got shape {x.shape}")
+    if x.ndim not in (2, 3):
+        raise ShapeError(
+            f"maxpool expects (n_maps, length) or (n, n_maps, length), got shape {x.shape}"
+        )
     if width < 1 or stride < 1:
         raise ValueError(f"width and stride must be >= 1, got ({width}, {stride})")
-    if x.shape[1] < width:
-        raise ShapeError(f"map length {x.shape[1]} is shorter than the window ({width})")
-    windows = sliding_window_view(x, width, axis=1)[:, ::stride, :]  # (F, T, width)
-    rel = windows.argmax(axis=2)
-    pooled = np.take_along_axis(windows, rel[:, :, None], axis=2)[:, :, 0]
-    idx = np.arange(rel.shape[1]) * stride + rel
-    return np.ascontiguousarray(pooled), idx
+    if x.shape[-1] < width:
+        raise ShapeError(f"map length {x.shape[-1]} is shorter than the window ({width})")
+    n_windows = (x.shape[-1] - width) // stride + 1
+    span = stride * (n_windows - 1) + 1
+    # One strided tap per window offset. A later tap wins only where it is
+    # strictly greater, so ties keep the earliest column.
+    pooled = x[..., 0:span:stride].copy()
+    idx = np.zeros(pooled.shape, dtype=np.intp)
+    for k in range(1, width):
+        tap = x[..., k : k + span : stride]
+        idx += (tap > pooled) * (k - idx)
+        np.maximum(pooled, tap, out=pooled)
+    idx += np.arange(n_windows) * stride
+    return pooled, idx
 
 
 def maxpool1d_backward(
@@ -148,11 +166,12 @@ def maxpool1d_backward(
 
 
 def dense_forward(layer: Dense, v: np.ndarray) -> np.ndarray:
-    """activation(v @ weights + bias) for a flat input vector."""
+    """activation(v @ weights + bias) for a flat input vector or an
+    (n, in_dim) stack of them."""
     v = np.asarray(v, dtype=np.float64)
     in_dim = layer.weights.shape[0]
-    if v.shape != (in_dim,):
-        raise ShapeError(f"expected input of shape ({in_dim},), got {v.shape}")
+    if v.ndim not in (1, 2) or v.shape[-1] != in_dim:
+        raise ShapeError(f"expected input of shape ({in_dim},) or (n, {in_dim}), got {v.shape}")
     z = v @ layer.weights + layer.bias
     if layer.activation == "relu":
         return relu(z)
@@ -192,9 +211,11 @@ def dense_backward(
 def dropout(
     spec: DropoutSpec, rng: np.random.Generator | None, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Apply inverted dropout, returning (output, keep mask).
+    """Apply inverted dropout to `v` or to each row of an (n, d) stack,
+    returning (output, keep mask).
 
-    Inference mode (and keep_prob == 1) is the identity map.
+    Inference mode (and keep_prob == 1) is the identity map; its mask is one
+    (d,) vector of ones, which broadcasts against `v`.
     """
     if not 0.0 < spec.keep_prob <= 1.0:
         raise ValueError(f"keep_prob must be in (0, 1], got {spec.keep_prob}")
@@ -202,7 +223,7 @@ def dropout(
         raise ValueError(f"unknown dropout mode {spec.mode!r}")
     v = np.asarray(v, dtype=np.float64)
     if spec.mode == "inference" or spec.keep_prob == 1.0:
-        return v, np.ones_like(v)
+        return v, np.ones(v.shape[-1])
     if rng is None:
         raise ValueError("train-mode dropout requires an rng")
     mask = (rng.random(v.shape) < spec.keep_prob).astype(np.float64)

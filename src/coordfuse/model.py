@@ -125,7 +125,8 @@ class DualBranchModel:
 
 @dataclass
 class ForwardCache:
-    """Every intermediate needed by backward for one train-mode forward."""
+    """Every intermediate of one forward; backward needs a single-pixel,
+    train-mode one."""
 
     mode: str
     spectral: np.ndarray
@@ -214,22 +215,26 @@ def forward(
 ) -> tuple[np.ndarray, ForwardCache]:
     """Class distribution for one pixel, plus the cache backward needs.
 
-    The baseline ignores `coords` entirely; its output is a function of the
-    spectrum alone.
+    `spectral` and `coords` may also be (n, B) and (n, 2) stacks, giving
+    (n, K) distributions. The baseline ignores `coords` entirely; its output
+    is a function of the spectrum alone.
     """
     cfg = model.config
     if mode not in ("train", "inference"):
         raise ValueError(f"unknown mode {mode!r}")
     spectral = np.asarray(spectral, dtype=np.float64)
     coords = np.asarray(coords, dtype=np.float64)
-    if spectral.shape != (cfg.num_bands,):
+    if spectral.ndim not in (1, 2) or spectral.shape[-1] != cfg.num_bands:
         raise ShapeError(f"expected {cfg.num_bands} bands, got shape {spectral.shape}")
-    if coords.shape != (2,):
-        raise ShapeError(f"expected 2 coordinate features, got shape {coords.shape}")
+    lead = spectral.shape[:-1]
+    if coords.shape != (*lead, 2):
+        raise ShapeError(
+            f"expected coordinate features of shape {(*lead, 2)}, got {coords.shape}"
+        )
 
     conv_out = conv1d_forward(model.conv, spectral)
     pooled, pool_idx = maxpool1d_forward(conv_out, cfg.pool_width, cfg.pool_stride)
-    flat = pooled.reshape(-1)  # filter-major, positions within a filter contiguous
+    flat = pooled.reshape(*lead, -1)  # filter-major, positions within a filter contiguous
     fc_out = dense_forward(model.fc, flat)
     o1, drop_mask = dropout(DropoutSpec(cfg.keep_prob, mode), rng, fc_out)
 
@@ -307,18 +312,42 @@ def predict(model: DualBranchModel, spectral: np.ndarray, coords: np.ndarray) ->
     return int(np.argmax(probs)) + 1
 
 
+# The smallest working set a forward_many chunk is allowed.
+_CHUNK_FLOOR_BYTES = 1 << 20
+
+
+def _chunk_rows(cfg: ModelConfig, input_bytes: int) -> int:
+    """Rows per batched forward in forward_many.
+
+    A chunk's intermediates stay within max(1 MiB, input_bytes // 8): the
+    caller already holds the input, so the extra memory is at most an eighth
+    of it on large inputs. Per row, forward's conv maps (length L), pooled
+    maps, pool argmax and their temporaries (length T) take at most about
+    3 * filters * (L + T) float64 values, next to the coordinate hidden layer
+    and six dense-width vectors.
+    """
+    row_bytes = 8 * (
+        3 * cfg.conv_filters * (cfg.conv_len + cfg.pooled_len)
+        + cfg.coord_hidden
+        + 6 * cfg.dense_width
+    )
+    return max(1, max(_CHUNK_FLOOR_BYTES, input_bytes // 8) // row_bytes)
+
+
 def forward_many(
     model: DualBranchModel, features: np.ndarray, coords: np.ndarray
 ) -> np.ndarray:
     """(n, K) inference-mode class distributions for stacked (n, B) and (n, 2)
-    inputs, one forward per row."""
+    inputs, one batched forward per chunk of rows (see _chunk_rows)."""
     features = np.asarray(features, dtype=np.float64)
     coords = np.asarray(coords, dtype=np.float64)
     if len(features) != len(coords):
         raise ShapeError("features and coords row counts disagree")
     out = np.empty((len(features), model.config.num_classes))
-    for i in range(len(features)):
-        out[i], _ = forward(model, features[i], coords[i])
+    rows = _chunk_rows(model.config, features.nbytes)
+    for start in range(0, len(features), rows):
+        chunk = slice(start, start + rows)
+        out[chunk], _ = forward(model, features[chunk], coords[chunk])
     return out
 
 
@@ -366,6 +395,8 @@ def load_checkpoint(path) -> DualBranchModel:
         if end > len(data):
             raise CheckpointError(f"{path}: truncated parameter block")
         arrays[name] = np.frombuffer(data, dtype="<f8", count=n, offset=offset).reshape(shape).copy()
+        if not np.all(np.isfinite(arrays[name])):
+            raise CheckpointError(f"{path}: {name} holds NaN or Inf values")
         offset = end
     if offset != len(data):
         raise CheckpointError(f"{path}: {len(data) - offset} trailing bytes")

@@ -340,6 +340,24 @@ def test_energy_missing_checkpoint_exits_2(tiny_experiment, tmp_path):
     assert rc == 2
 
 
+def test_energy_non_finite_checkpoint_exits_2(tiny_experiment, tmp_path, capsys):
+    from coordfuse.model import save_checkpoint
+
+    model = load_checkpoint(tiny_experiment["out"] / "model.ckpt")
+    model.head.bias[0] = np.nan
+    bad = tmp_path / "nan.ckpt"
+    save_checkpoint(model, bad)
+    rc = main(
+        ["energy", "--config", str(tiny_experiment["config"]),
+         "--out-dir", str(tiny_experiment["out"]), "--crop", "0,0,4,4",
+         "--dual-ckpt", str(bad)]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "NaN or Inf" in captured.err
+    assert "dual_energy" not in captured.out
+
+
 def test_readme_config_matches_emitted_defaults(tmp_path):
     text = README.read_text().split("## Config file", 1)[1]
     documented = json.loads(text.split("```json\n", 1)[1].split("```", 1)[0])

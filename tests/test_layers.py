@@ -313,3 +313,81 @@ def test_cross_entropy_index_validation():
         cross_entropy(np.array([0.5, 0.5]), 2)
     with pytest.raises(ValueError):
         cross_entropy(np.array([0.5, 0.5]), -1)
+
+
+# Stacked forward passes: an (n, ...) stack must give the row-by-row results.
+STACK_RTOL = 1e-12
+STACK_ATOL = 1e-14
+
+
+def test_conv_stack_matches_per_sample():
+    rng = create_rng(11)
+    layer = Conv1d(rng.normal(size=(4, 5)), rng.normal(size=4))
+    x = rng.normal(size=(7, 17))
+    out = conv1d_forward(layer, x)
+    assert out.shape == (7, 4, 13)
+    for i in range(7):
+        single = conv1d_forward(layer, x[i])
+        assert np.allclose(out[i], single, rtol=STACK_RTOL, atol=STACK_ATOL)
+
+
+@pytest.mark.parametrize("width,stride,length", [(2, 2, 10), (2, 2, 11), (3, 2, 12), (3, 1, 9)])
+def test_pool_stack_matches_per_sample_with_ties(width, stride, length):
+    # Values from {0, 1, 2} make most windows hold ties.
+    x = create_rng(12).integers(0, 3, size=(6, 4, length)).astype(np.float64)
+    pooled, idx = maxpool1d_forward(x, width, stride)
+    for i in range(6):
+        single_pooled, single_idx = maxpool1d_forward(x[i], width, stride)
+        ref_pooled, ref_idx = naive_pool(x[i], width, stride)
+        assert np.array_equal(pooled[i], single_pooled)
+        assert np.array_equal(idx[i], single_idx)
+        assert np.array_equal(single_pooled, ref_pooled)
+        assert np.array_equal(single_idx, ref_idx)
+
+
+@pytest.mark.parametrize("activation", ["relu", "identity", "softmax"])
+def test_dense_stack_matches_per_sample(activation):
+    rng = create_rng(13)
+    layer = Dense(rng.normal(size=(7, 5)), rng.normal(size=5), activation)
+    v = rng.normal(size=(9, 7))
+    out = dense_forward(layer, v)
+    assert out.shape == (9, 5)
+    for i in range(9):
+        single = dense_forward(layer, v[i])
+        assert np.allclose(out[i], single, rtol=STACK_RTOL, atol=STACK_ATOL)
+
+
+def test_softmax_stack_normalizes_each_row():
+    z = create_rng(14).normal(size=(5, 4)) * 50.0
+    p = softmax(z)
+    assert np.allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    for i in range(5):
+        assert np.allclose(p[i], softmax(z[i]), rtol=STACK_RTOL, atol=STACK_ATOL)
+
+
+def test_dropout_stack_draws_match_per_sample_draws():
+    v = create_rng(15).normal(size=(6, 20))
+    out, mask = dropout(DropoutSpec(0.6, "train"), create_rng(16), v)
+    rng = create_rng(16)
+    for i in range(6):
+        single_out, single_mask = dropout(DropoutSpec(0.6, "train"), rng, v[i])
+        assert np.array_equal(mask[i], single_mask)
+        assert np.array_equal(out[i], single_out)
+
+
+def test_dropout_inference_mask_is_per_feature():
+    v = create_rng(17).normal(size=(6, 20))
+    out, mask = dropout(DropoutSpec(0.5, "inference"), None, v)
+    assert np.array_equal(out, v)
+    assert np.array_equal(mask, np.ones(20))
+
+
+def test_stacked_forward_input_validation():
+    with pytest.raises(ShapeError):
+        conv1d_forward(Conv1d(np.ones((2, 4)), np.zeros(2)), np.ones((2, 3, 8)))
+    with pytest.raises(ShapeError):
+        maxpool1d_forward(np.ones((2, 3, 4, 8)))
+    with pytest.raises(ShapeError):
+        dense_forward(Dense(np.ones((3, 2)), np.zeros(2)), np.ones((2, 4, 3)))
+    with pytest.raises(ShapeError):
+        dense_forward(Dense(np.ones((3, 2)), np.zeros(2)), np.ones((4, 2)))

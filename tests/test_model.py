@@ -1,17 +1,20 @@
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from checks import dual_margins, fd_wrt, norm_rel_err
 from coordfuse.layers import ShapeError, cross_entropy
+from coordfuse import model as model_module
 from coordfuse.model import (
     CheckpointError,
     ModelConfig,
     backward,
     build,
     forward,
+    forward_many,
     load_checkpoint,
     param_shapes,
     predict,
@@ -293,3 +296,86 @@ def test_parameter_layout_is_pinned(tmp_path, baseline):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == LAYOUT_SHA256[baseline]
     assert list(model.parameters()) == list(param_shapes(cfg))
     assert [a.shape for a in model.parameters().values()] == list(param_shapes(cfg).values())
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_non_finite_parameters(tmp_path, value):
+    model = small_model()
+    model.head.bias[1] = value
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    with pytest.raises(CheckpointError, match="head.bias holds NaN or Inf"):
+        load_checkpoint(path)
+
+
+STACK_RTOL = 1e-12
+STACK_ATOL = 1e-14
+
+
+@pytest.mark.parametrize("baseline", [False, True])
+def test_forward_stack_matches_single_pixel_forwards(baseline):
+    model = small_model(keep_prob=0.75, baseline=baseline)
+    rng = create_rng(7)
+    feats = rng.random((9, 16))
+    coords = rng.random((9, 2))
+    probs, cache = forward(model, feats, coords)
+    assert probs.shape == (9, 3)
+    assert cache.drop_mask.shape == (10,)  # one inference mask for every row
+    for i in range(9):
+        single, _ = forward(model, feats[i], coords[i])
+        assert np.allclose(probs[i], single, rtol=STACK_RTOL, atol=STACK_ATOL)
+
+
+def test_forward_rejects_mismatched_rows():
+    model = small_model()
+    with pytest.raises(ShapeError):
+        forward(model, np.ones((4, 16)), np.zeros((3, 2)))
+    with pytest.raises(ShapeError):
+        forward(model, np.ones((4, 16)), np.zeros(2))
+    with pytest.raises(ShapeError):
+        forward(model, np.ones(16), np.zeros((1, 2)))
+    with pytest.raises(ShapeError):
+        forward(model, np.ones((2, 4, 16)), np.zeros((2, 4, 2)))
+
+
+def test_forward_many_at_chunk_boundaries(monkeypatch):
+    model = small_model(keep_prob=0.75)
+    rows = model_module._chunk_rows(model.config, 16 * 8)
+    assert rows > 1
+    rng = create_rng(8)
+    feats = rng.random((2 * rows + 1, 16))
+    coords = rng.random((2 * rows + 1, 2))
+    single = np.array([forward(model, f, c)[0] for f, c in zip(feats, coords)])
+
+    chunks = []
+
+    def spy(net, spectral, coord_rows, *args, **kwargs):
+        chunks.append(len(spectral))
+        return forward(net, spectral, coord_rows, *args, **kwargs)
+
+    monkeypatch.setattr(model_module, "forward", spy)
+    for n in (0, 1, rows - 1, rows, rows + 1, 2 * rows + 1):
+        # Inputs this small stay under the 1 MiB floor, so every call uses `rows`.
+        assert model_module._chunk_rows(model.config, feats[:n].nbytes) == rows
+        chunks.clear()
+        probs = forward_many(model, feats[:n], coords[:n])
+        assert probs.shape == (n, 3)
+        assert chunks == [rows] * (n // rows) + ([n % rows] if n % rows else [])
+        assert np.allclose(probs, single[:n], rtol=STACK_RTOL, atol=STACK_ATOL)
+        assert np.array_equal(np.argmax(probs, axis=1), np.argmax(single[:n], axis=1))
+
+
+@pytest.mark.parametrize("n,bands,classes", [(4096, 30, 6), (8192, 220, 16)])
+def test_forward_many_memory_is_bounded(n, bands, classes):
+    model = build(ModelConfig(num_bands=bands, num_classes=classes), create_rng(0))
+    rng = create_rng(9)
+    feats = rng.random((n, bands))
+    coords = rng.random((n, 2))
+    tracemalloc.start()
+    try:
+        probs = forward_many(model, feats, coords)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    budget = max(1 << 20, feats.nbytes // 8)
+    assert peak - probs.nbytes <= 1.5 * budget
