@@ -15,6 +15,8 @@ File formats (both little-endian):
 from __future__ import annotations
 
 import csv
+import math
+import os
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -153,24 +155,35 @@ class SplitSpec:
         return min(max(raw, self.min_per_class), class_total - 1)
 
 
+def _read_raster(path, magic: bytes, n_dims: int, dtype: str) -> np.ndarray:
+    """Payload of a cube or label file shaped by its header dimensions.
+
+    Magic, dimensions and the file size are checked before the payload is read.
+    """
+    header_len = 4 + 4 * n_dims
+    with open(path, "rb", buffering=0) as f:  # unbuffered: read() copies the payload once
+        header = f.read(header_len)
+        if header[:4] != magic:
+            raise BadMagicError(f"{path}: expected magic {magic!r}, got {header[:4]!r}")
+        if len(header) < header_len:
+            raise TruncatedPayloadError(f"{path}: header is incomplete")
+        dims = struct.unpack(f"<{n_dims}I", header[4:])
+        shape, n = "x".join(map(str, dims)), math.prod(dims)
+        if min(dims) < 1 or n > MAX_ELEMENTS:
+            raise DimensionOverflowError(f"{path}: implausible dimensions {shape}")
+        expected = header_len + n * np.dtype(dtype).itemsize
+        size = os.fstat(f.fileno()).st_size
+        if size != expected:
+            raise TruncatedPayloadError(
+                f"{path}: expected {expected} bytes for {shape}, got {size}"
+            )
+        return np.frombuffer(f.read(), dtype=dtype).reshape(dims)
+
+
 def load_cube(path) -> DataCube:
-    """Read a cube file, validating magic, dimensions, and payload size."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != CUBE_MAGIC:
-        raise BadMagicError(f"{path}: expected magic {CUBE_MAGIC!r}, got {data[:4]!r}")
-    if len(data) < 16:
-        raise TruncatedPayloadError(f"{path}: header is incomplete")
-    h, w, b = struct.unpack("<III", data[4:16])
-    if min(h, w, b) < 1 or h * w * b > MAX_ELEMENTS:
-        raise DimensionOverflowError(f"{path}: implausible dimensions {h}x{w}x{b}")
-    expected = 16 + h * w * b * 4
-    if len(data) != expected:
-        raise TruncatedPayloadError(
-            f"{path}: expected {expected} bytes for {h}x{w}x{b}, got {len(data)}"
-        )
-    values = np.frombuffer(data, dtype="<f4", offset=16).astype(np.float64)
-    return DataCube(values.reshape(h, w, b))
+    """Read a cube file, validating magic, dimensions, and the file size
+    before reading the payload."""
+    return DataCube(_read_raster(path, CUBE_MAGIC, 3, "<f4").astype(np.float64))
 
 
 def save_cube(cube: DataCube, path) -> None:
@@ -181,23 +194,9 @@ def save_cube(cube: DataCube, path) -> None:
 
 
 def load_labels(path) -> LabelMap:
-    """Read a label file, validating magic, dimensions, and payload size."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != LABEL_MAGIC:
-        raise BadMagicError(f"{path}: expected magic {LABEL_MAGIC!r}, got {data[:4]!r}")
-    if len(data) < 12:
-        raise TruncatedPayloadError(f"{path}: header is incomplete")
-    h, w = struct.unpack("<II", data[4:12])
-    if min(h, w) < 1 or h * w > MAX_ELEMENTS:
-        raise DimensionOverflowError(f"{path}: implausible dimensions {h}x{w}")
-    expected = 12 + h * w * 2
-    if len(data) != expected:
-        raise TruncatedPayloadError(
-            f"{path}: expected {expected} bytes for {h}x{w}, got {len(data)}"
-        )
-    labels = np.frombuffer(data, dtype="<u2", offset=12).astype(np.int64)
-    return LabelMap(labels.reshape(h, w))
+    """Read a label file, validating magic, dimensions, and the file size
+    before reading the payload."""
+    return LabelMap(_read_raster(path, LABEL_MAGIC, 2, "<u2").astype(np.int64))
 
 
 def save_labels(labels: LabelMap, path) -> None:
@@ -294,13 +293,19 @@ def stratified_split(
     Returns (train, test) as (n, 2) arrays of (row, col) pairs. Every class
     1..num_classes contributes exactly ``spec.train_count`` pixels to train
     and the rest to test, shuffled by `rng` (or a fresh generator seeded with
-    ``spec.seed`` when `rng` is omitted).
+    ``spec.seed`` when `rng` is omitted). Class ids must be contiguous: an id
+    below the largest one with no pixels is an error.
     """
     if rng is None:
         rng = create_rng(spec.seed)
     n_classes = labels.num_classes
     if n_classes < 1:
         raise ValueError("label map contains no labeled pixels")
+    counts = np.bincount(labels.labels.ravel(), minlength=n_classes + 1)
+    missing = np.flatnonzero(counts[1:] == 0) + 1
+    if len(missing):
+        ids = ", ".join(map(str, missing[:10])) + (", ..." if len(missing) > 10 else "")
+        raise ValueError(f"class ids must be contiguous 1..{n_classes}; missing ids: {ids}")
     train_parts, test_parts = [], []
     for cls in range(1, n_classes + 1):
         pix = np.argwhere(labels.labels == cls)  # row-major scan order

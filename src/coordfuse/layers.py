@@ -7,7 +7,9 @@ layers map (in_dim,) or (n, in_dim) to (out_dim,) or (n, out_dim). A sample
 without the batch axis runs the same code, so its result does not depend on
 whether it is stacked. Backward passes work per sample. Each returns parameter
 gradients plus the gradient with respect to the layer input, and is validated
-against central finite differences in the test suite.
+against central finite differences in the test suite. Max pooling keeps no
+argmax: its forward returns only the window maxima, and its backward finds
+the earliest column holding each maximum from the maps and the maxima.
 """
 
 from __future__ import annotations
@@ -120,15 +122,12 @@ def conv1d_backward(
     return LayerGrads(d_weights, d_bias, d_x)
 
 
-def maxpool1d_forward(
-    x: np.ndarray, width: int = 2, stride: int = 2
-) -> tuple[np.ndarray, np.ndarray]:
+def maxpool1d_forward(x: np.ndarray, width: int = 2, stride: int = 2) -> np.ndarray:
     """Window maxima over the last axis of (n_maps, length) feature maps, or
     of an (n, n_maps, length) stack of them.
 
-    Returns (pooled, argmax) where argmax holds absolute column indices into
-    `x` for backward routing. Ties take the earliest column; a trailing
-    remainder shorter than `width` is dropped.
+    Only the maxima are kept: maxpool1d_backward recomputes which column each
+    one came from. A trailing remainder shorter than `width` is dropped.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (2, 3):
@@ -139,28 +138,38 @@ def maxpool1d_forward(
         raise ValueError(f"width and stride must be >= 1, got ({width}, {stride})")
     if x.shape[-1] < width:
         raise ShapeError(f"map length {x.shape[-1]} is shorter than the window ({width})")
-    n_windows = (x.shape[-1] - width) // stride + 1
-    span = stride * (n_windows - 1) + 1
-    # One strided tap per window offset. A later tap wins only where it is
-    # strictly greater, so ties keep the earliest column.
-    pooled = x[..., 0:span:stride].copy()
-    idx = np.zeros(pooled.shape, dtype=np.intp)
+    span = stride * ((x.shape[-1] - width) // stride) + 1
+    pooled = x[..., 0:span:stride].copy()  # one strided tap per window offset
     for k in range(1, width):
-        tap = x[..., k : k + span : stride]
-        idx += (tap > pooled) * (k - idx)
-        np.maximum(pooled, tap, out=pooled)
-    idx += np.arange(n_windows) * stride
-    return pooled, idx
+        np.maximum(pooled, x[..., k : k + span : stride], out=pooled)
+    return pooled
 
 
 def maxpool1d_backward(
-    input_shape: tuple[int, int], idx: np.ndarray, grad_out: np.ndarray
+    x: np.ndarray, pooled: np.ndarray, grad_out: np.ndarray, width: int = 2, stride: int = 2
 ) -> np.ndarray:
-    """Route pooled gradients back to the argmax positions."""
-    if idx.shape != grad_out.shape:
-        raise ShapeError(f"index shape {idx.shape} != grad shape {grad_out.shape}")
-    d_x = np.zeros(input_shape, dtype=np.float64)
-    rows = np.arange(input_shape[0])[:, None]
+    """Route pooled gradients back to the column of `x` that held each maximum.
+
+    `pooled` is maxpool1d_forward(x, width, stride) for one sample. Ties take
+    the earliest column of the window.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ShapeError(f"maxpool backward expects (n_maps, length) maps, got {x.shape}")
+    n_windows = (x.shape[1] - width) // stride + 1
+    if pooled.shape != (x.shape[0], n_windows) or grad_out.shape != pooled.shape:
+        raise ShapeError(
+            f"maps {x.shape} with window ({width}, {stride}) disagree with "
+            f"pooled {pooled.shape} and grad {grad_out.shape}"
+        )
+    span = stride * (n_windows - 1) + 1
+    # From the last tap to the first, so the earliest column holding the maximum wins.
+    idx = np.full(pooled.shape, width - 1, dtype=np.intp)
+    for k in range(width - 2, -1, -1):
+        idx = np.where(x[:, k : k + span : stride] == pooled, k, idx)
+    idx += np.arange(n_windows) * stride
+    d_x = np.zeros(x.shape, dtype=np.float64)
+    rows = np.arange(x.shape[0])[:, None]
     np.add.at(d_x, (rows, idx), grad_out)
     return d_x
 

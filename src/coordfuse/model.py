@@ -126,13 +126,13 @@ class DualBranchModel:
 @dataclass
 class ForwardCache:
     """Every intermediate of one forward; backward needs a single-pixel,
-    train-mode one."""
+    train-mode one. The pool's routing is not kept: backward recomputes it
+    from `conv_out` and the maxima in `flat`."""
 
     mode: str
     spectral: np.ndarray
     coords: np.ndarray
     conv_out: np.ndarray
-    pool_idx: np.ndarray
     flat: np.ndarray
     fc_out: np.ndarray
     drop_mask: np.ndarray
@@ -233,7 +233,7 @@ def forward(
         )
 
     conv_out = conv1d_forward(model.conv, spectral)
-    pooled, pool_idx = maxpool1d_forward(conv_out, cfg.pool_width, cfg.pool_stride)
+    pooled = maxpool1d_forward(conv_out, cfg.pool_width, cfg.pool_stride)
     flat = pooled.reshape(*lead, -1)  # filter-major, positions within a filter contiguous
     fc_out = dense_forward(model.fc, flat)
     o1, drop_mask = dropout(DropoutSpec(cfg.keep_prob, mode), rng, fc_out)
@@ -252,7 +252,6 @@ def forward(
         spectral=spectral,
         coords=coords,
         conv_out=conv_out,
-        pool_idx=pool_idx,
         flat=flat,
         fc_out=fc_out,
         drop_mask=drop_mask,
@@ -285,8 +284,9 @@ def backward(model: DualBranchModel, cache: ForwardCache, label: int) -> dict[st
     # Branch 1: undo dropout scaling, then dense, pool, conv.
     d_fc_out = d_fused * cache.drop_mask / cfg.keep_prob
     fc_g = dense_backward(model.fc, cache.flat, cache.fc_out, d_fc_out)
-    d_pooled = fc_g.inputs.reshape(cfg.conv_filters, cfg.pooled_len)
-    d_conv = maxpool1d_backward(cache.conv_out.shape, cache.pool_idx, d_pooled)
+    pooled = cache.flat.reshape(cfg.conv_filters, cfg.pooled_len)
+    d_pooled = fc_g.inputs.reshape(pooled.shape)
+    d_conv = maxpool1d_backward(cache.conv_out, pooled, d_pooled, cfg.pool_width, cfg.pool_stride)
     conv_g = conv1d_backward(model.conv, cache.spectral, cache.conv_out, d_conv)
     grads["conv.weights"] = conv_g.weights
     grads["conv.bias"] = conv_g.bias
@@ -321,13 +321,13 @@ def _chunk_rows(cfg: ModelConfig, input_bytes: int) -> int:
 
     A chunk's intermediates stay within max(1 MiB, input_bytes // 8): the
     caller already holds the input, so the extra memory is at most an eighth
-    of it on large inputs. Per row, forward's conv maps (length L), pooled
-    maps, pool argmax and their temporaries (length T) take at most about
-    3 * filters * (L + T) float64 values, next to the coordinate hidden layer
-    and six dense-width vectors.
+    of it on large inputs. Per row, forward keeps filters * (L + T) float64
+    values for the conv maps (length L) and the pooled maxima (length T),
+    next to the coordinate hidden layer and six dense-width vectors; counting
+    16 bytes, two float64 values, for each covers the temporaries beside them.
     """
-    row_bytes = 8 * (
-        3 * cfg.conv_filters * (cfg.conv_len + cfg.pooled_len)
+    row_bytes = 16 * (
+        cfg.conv_filters * (cfg.conv_len + cfg.pooled_len)
         + cfg.coord_hidden
         + 6 * cfg.dense_width
     )

@@ -87,9 +87,8 @@ def _layer_fd_worst(seeds=10):
         worst = max(worst, norm_rel_err(fd_wrt(loss, x), g.inputs))
 
         pproj = rng.normal(size=(3, 4))
-        _, idx = maxpool1d_forward(pool_in)
-        d_in = maxpool1d_backward(pool_in.shape, idx, pproj)
-        ploss = lambda: float((maxpool1d_forward(pool_in)[0] * pproj).sum())
+        d_in = maxpool1d_backward(pool_in, maxpool1d_forward(pool_in), pproj)
+        ploss = lambda: float((maxpool1d_forward(pool_in) * pproj).sum())
         worst = max(worst, norm_rel_err(fd_wrt(ploss, pool_in), d_in))
 
         dproj = rng.normal(size=5)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from coordfuse.cli import UsageError, load_config, main
-from coordfuse.dataset import load_cube, load_labels
+from coordfuse.dataset import DataCube, LabelMap, load_cube, load_labels, save_cube, save_labels
 from coordfuse.evaluation import CrfParams, dense_energy
 from coordfuse.model import load_checkpoint
+from coordfuse.numerics import create_rng
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -159,6 +160,16 @@ def test_run_corrupt_cube_exits_2(tmp_path, capsys):
     config = write_config(tmp_path / "cfg.json", cube, labels)
     assert main(["run", "--config", str(config)]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+def test_run_sparse_class_ids_exit_2(tmp_path, capsys):
+    cube, labels = tmp_path / "c.hcube", tmp_path / "l.hlbl"
+    values = create_rng(0).random((6, 6, 8))
+    save_cube(DataCube(values), cube)
+    save_labels(LabelMap(np.repeat([1, 1, 3, 3, 4, 4], 6).reshape(6, 6)), labels)
+    config = write_config(tmp_path / "cfg.json", cube, labels)
+    assert main(["run", "--config", str(config)]) == 2
+    assert "class ids must be contiguous 1..4; missing ids: 2" in capsys.readouterr().err
 
 
 def test_synth_outputs_are_deterministic(tmp_path):

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +141,34 @@ def test_load_cube_error_cases(tmp_path):
     path.write_bytes(b"HCB1" + struct.pack("<III", 2**20, 2**20, 2**20))
     with pytest.raises(DimensionOverflowError):
         load_cube(path)
+
+
+@pytest.mark.parametrize(
+    "load,header,dims,expected",
+    [
+        (load_cube, b"HCB1" + struct.pack("<III", 4, 4, 4), "4x4x4", 16 + 64 * 4),
+        (load_labels, b"HLB1" + struct.pack("<II", 4, 4), "4x4", 12 + 16 * 2),
+    ],
+)
+def test_load_checks_file_size_before_reading_payload(tmp_path, load, header, dims, expected):
+    path = tmp_path / "short"
+    path.write_bytes(header + b"\x00" * 8)
+    message = f"expected {expected} bytes for {dims}, got {len(header) + 8}$"
+    with pytest.raises(TruncatedPayloadError, match=message):
+        load(path)
+    # A sparse 64 MiB file is rejected from its size alone, without reading it.
+    path = tmp_path / "long"
+    with open(path, "wb") as f:
+        f.write(header)
+        f.truncate(64 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedPayloadError, match=f"got {64 << 20}$"):
+            load(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_labels_round_trip(tmp_path):
@@ -302,6 +331,12 @@ def test_stratified_split_rejects_tiny_class():
     labels = LabelMap(np.array([[1, 1, 1], [1, 2, 2]]))
     with pytest.raises(ValueError, match="class 2"):
         stratified_split(labels, SplitSpec(0.5, min_per_class=2))
+
+
+def test_stratified_split_rejects_sparse_class_ids():
+    labels = LabelMap(np.array([[1, 1, 1], [3, 3, 3], [5, 5, 5]]))
+    with pytest.raises(ValueError, match=r"contiguous 1\.\.5; missing ids: 2, 4$"):
+        stratified_split(labels, SplitSpec(0.5, min_per_class=1))
 
 
 def test_stratified_split_rejects_unlabeled_map():

@@ -58,7 +58,8 @@ def test_conv_matches_naive_loop():
         rng = create_rng(seed)
         layer = Conv1d(rng.normal(size=(4, 5)), rng.normal(size=4))
         x = rng.normal(size=17)
-        assert np.allclose(conv1d_forward(layer, x), naive_conv(layer.weights, layer.bias, x), atol=1e-14)
+        ref = naive_conv(layer.weights, layer.bias, x)
+        assert np.allclose(conv1d_forward(layer, x), ref, rtol=1e-12, atol=1e-14)
 
 
 def test_conv_output_shape_and_sign():
@@ -112,28 +113,44 @@ def naive_pool(x, width, stride):
     return pooled, idx
 
 
+def naive_route(shape, idx, grad):
+    """Reference pool backward: add each window's gradient at its argmax
+    column, windows in order."""
+    d_x = np.zeros(shape)
+    for f in range(idx.shape[0]):
+        for t in range(idx.shape[1]):
+            d_x[f, idx[f, t]] += grad[f, t]
+    return d_x
+
+
+def pool_route(x, grad, width=2, stride=2):
+    """maxpool1d_backward of `grad` through the forward of `x`."""
+    return maxpool1d_backward(x, maxpool1d_forward(x, width, stride), grad, width, stride)
+
+
 @pytest.mark.parametrize("width,stride,length", [(2, 2, 10), (2, 2, 11), (3, 2, 12)])
 def test_pool_matches_naive_loop(width, stride, length):
     for seed in range(5):
         x = create_rng(seed).normal(size=(4, length))
-        pooled, idx = maxpool1d_forward(x, width, stride)
+        pooled = maxpool1d_forward(x, width, stride)
         ref_pooled, ref_idx = naive_pool(x, width, stride)
         assert np.array_equal(pooled, ref_pooled)
-        assert np.array_equal(idx, ref_idx)
+        grad = create_rng(seed + 50).normal(size=pooled.shape)
+        assert np.array_equal(
+            pool_route(x, grad, width, stride), naive_route(x.shape, ref_idx, grad)
+        )
 
 
 def test_pool_tie_takes_earliest():
     x = np.array([[1.0, 1.0, 0.5, 2.0]])
-    pooled, idx = maxpool1d_forward(x)
-    assert np.array_equal(pooled, [[1.0, 2.0]])
-    assert np.array_equal(idx, [[0, 3]])
+    assert np.array_equal(maxpool1d_forward(x), [[1.0, 2.0]])
+    assert np.array_equal(pool_route(x, np.array([[10.0, 20.0]])), [[10.0, 0.0, 0.0, 20.0]])
 
 
 def test_pool_drops_trailing_remainder():
     x = np.array([[1.0, 2.0, 9.0]])
-    pooled, idx = maxpool1d_forward(x)
-    assert pooled.shape == (1, 1)
-    assert idx[0, 0] == 1
+    assert maxpool1d_forward(x).shape == (1, 1)
+    assert np.array_equal(pool_route(x, np.array([[4.0]])), [[0.0, 4.0, 0.0]])
 
 
 def test_pool_validation():
@@ -143,6 +160,13 @@ def test_pool_validation():
         maxpool1d_forward(np.ones((2, 1)), width=2)
     with pytest.raises(ValueError):
         maxpool1d_forward(np.ones((2, 4)), width=0)
+    x = np.ones((2, 4))
+    with pytest.raises(ShapeError):
+        maxpool1d_backward(np.ones((1, 2, 4)), np.ones((2, 2)), np.ones((2, 2)))
+    with pytest.raises(ShapeError):
+        maxpool1d_backward(x, np.ones((2, 3)), np.ones((2, 3)))
+    with pytest.raises(ShapeError):
+        maxpool1d_backward(x, np.ones((2, 2)), np.ones((2, 3)))
 
 
 def test_pool_gradients_match_finite_differences():
@@ -160,19 +184,35 @@ def test_pool_gradients_match_finite_differences():
         proj = rng.normal(size=(3, 5))
 
         def loss():
-            return float((maxpool1d_forward(x)[0] * proj).sum())
+            return float((maxpool1d_forward(x) * proj).sum())
 
-        _, idx = maxpool1d_forward(x)
-        d_x = maxpool1d_backward(x.shape, idx, proj)
+        d_x = maxpool1d_backward(x, maxpool1d_forward(x), proj)
         assert norm_rel_err(fd_wrt(loss, x), d_x) < LAYER_TOL
     assert accepted == 10
 
 
 def test_pool_backward_routes_to_argmax():
     x = np.array([[1.0, 5.0, 2.0, 0.5]])
-    _, idx = maxpool1d_forward(x)
-    d_x = maxpool1d_backward(x.shape, idx, np.array([[10.0, 20.0]]))
+    d_x = pool_route(x, np.array([[10.0, 20.0]]))
     assert np.array_equal(d_x, [[0.0, 10.0, 20.0, 0.0]])
+
+
+def test_pool_overlapping_windows_accumulate_in_window_order():
+    # Width 3, stride 1: column 2 is the maximum of all three windows. Added
+    # in window order, the 1 is lost against 1e16 and the sum is 0; the
+    # reverse order gives 1.
+    x = np.array([[0.0, 0.0, 5.0, 0.0, 0.0]])
+    grad = np.array([[1.0, 1e16, -1e16]])
+    d_x = pool_route(x, grad, 3, 1)
+    assert np.array_equal(d_x, naive_route(x.shape, np.array([[2, 2, 2]]), grad))
+    assert np.array_equal(d_x, np.zeros((1, 5)))
+    # Tie-heavy maps with gradients of mixed magnitude: every column shared by
+    # windows sums the same terms in the same order as the reference.
+    rng = create_rng(18)
+    x = rng.integers(0, 3, size=(5, 16)).astype(np.float64)
+    grad = rng.normal(size=(5, 14)) * 10.0 ** rng.integers(-8, 9, size=(5, 14))
+    _, ref_idx = naive_pool(x, 3, 1)
+    assert np.array_equal(pool_route(x, grad, 3, 1), naive_route(x.shape, ref_idx, grad))
 
 
 def test_dense_forward_hand_case():
@@ -335,14 +375,17 @@ def test_conv_stack_matches_per_sample():
 def test_pool_stack_matches_per_sample_with_ties(width, stride, length):
     # Values from {0, 1, 2} make most windows hold ties.
     x = create_rng(12).integers(0, 3, size=(6, 4, length)).astype(np.float64)
-    pooled, idx = maxpool1d_forward(x, width, stride)
+    pooled = maxpool1d_forward(x, width, stride)
+    grads = create_rng(21).normal(size=pooled.shape)
     for i in range(6):
-        single_pooled, single_idx = maxpool1d_forward(x[i], width, stride)
+        single_pooled = maxpool1d_forward(x[i], width, stride)
         ref_pooled, ref_idx = naive_pool(x[i], width, stride)
         assert np.array_equal(pooled[i], single_pooled)
-        assert np.array_equal(idx[i], single_idx)
         assert np.array_equal(single_pooled, ref_pooled)
-        assert np.array_equal(single_idx, ref_idx)
+        assert np.array_equal(
+            maxpool1d_backward(x[i], pooled[i], grads[i], width, stride),
+            naive_route(x[i].shape, ref_idx, grads[i]),
+        )
 
 
 @pytest.mark.parametrize("activation", ["relu", "identity", "softmax"])
