@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import get_args, get_origin, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
@@ -57,7 +57,7 @@ from coordfuse.model import (
     predict_many,
     save_checkpoint,
 )
-from coordfuse.numerics import create_rng
+from coordfuse.numerics import create_rng, typed
 from coordfuse.optimizer import NumericalError, TrainConfig, train
 
 EXIT_OK = 0
@@ -74,8 +74,6 @@ class UsageError(Exception):
 
 # Section fields that `run` sets per model rather than reading from the config.
 _RUN_SET_FIELDS = ("num_bands", "num_classes", "baseline", "seed")
-
-_KINDS = {int: "an integer", float: "a number", str: "a string"}
 
 
 def _defaults(cls) -> dict:
@@ -113,23 +111,6 @@ class ExperimentConfig:
         return CrfParams(**self.crf)
 
 
-def _typed(key: str, val, kind):
-    """`val` if it has the field type `kind`. Ints widen to float; nothing
-    else is converted, and a bool is never a number."""
-    if get_origin(kind) is list:
-        if not isinstance(val, list) or not val:
-            raise UsageError(f"{key} must be a non-empty list")
-        (item,) = get_args(kind)
-        return [_typed(f"{key}[{i}]", v, item) for i, v in enumerate(val)]
-    if kind is not str and isinstance(val, bool):
-        raise UsageError(f"{key} must be a number, got {val!r}")
-    if kind is float and isinstance(val, int):
-        return float(val)
-    if not isinstance(val, kind):
-        raise UsageError(f"{key} must be {_KINDS[kind]}, got {val!r}")
-    return val
-
-
 def _merge_section(raw, cls, name: str) -> dict:
     if not isinstance(raw, dict):
         raise UsageError(f"config section {name!r} must be an object")
@@ -139,7 +120,7 @@ def _merge_section(raw, cls, name: str) -> dict:
         raise UsageError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
     hints = get_type_hints(cls)
     for key, val in raw.items():
-        merged[key] = _typed(f"{name}.{key}", val, hints[key])
+        merged[key] = typed(f"{name}.{key}", val, hints[key])
     return merged
 
 
@@ -166,15 +147,18 @@ def load_config(path) -> ExperimentConfig:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
     hints = get_type_hints(ExperimentConfig)
     values = {}
-    for key, f in top.items():
-        if key in raw:
-            section = f.metadata.get("section")
-            if section:
-                values[key] = _merge_section(raw[key], section, key)
-            else:
-                values[key] = _typed(key, raw[key], hints[key])
-        elif f.default is MISSING and f.default_factory is MISSING:
-            raise UsageError(f"config must set {key!r}")
+    try:
+        for key, f in top.items():
+            if key in raw:
+                section = f.metadata.get("section")
+                if section:
+                    values[key] = _merge_section(raw[key], section, key)
+                else:
+                    values[key] = typed(key, raw[key], hints[key])
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise UsageError(f"config must set {key!r}")
+    except TypeError as exc:  # a value of the wrong type, from numerics.typed
+        raise UsageError(str(exc)) from exc
     cfg = ExperimentConfig(**values)
 
     if not 0.0 < cfg.fraction < 1.0:

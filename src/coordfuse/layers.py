@@ -24,8 +24,6 @@ logger = logging.getLogger(__name__)
 
 PROB_FLOOR = 1e-12
 
-ACTIVATIONS = ("relu", "softmax", "identity")
-
 
 class ShapeError(ValueError):
     """An input does not match a layer's expected dimensions."""

@@ -10,8 +10,10 @@ the addition, leaving the plain spectral CNN.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from coordfuse.layers import (
     maxpool1d_backward,
     maxpool1d_forward,
 )
-from coordfuse.numerics import glorot_init
+from coordfuse.numerics import glorot_init, typed
 
 CHECKPOINT_MAGIC = b"DBM1"
 CHECKPOINT_VERSION = 1
@@ -65,16 +67,11 @@ class ModelConfig:
         return self.conv_filters * self.pooled_len
 
     def validate(self) -> None:
-        widths = (
-            self.num_bands,
-            self.num_classes,
-            self.conv_filters,
-            self.kernel_len,
-            self.pool_width,
-            self.pool_stride,
-            self.dense_width,
-            self.coord_hidden,
-        )
+        """TypeError for a field of the wrong type, ValueError for a bad value."""
+        hints = get_type_hints(ModelConfig)
+        for f in fields(self):
+            typed(f.name, getattr(self, f.name), hints[f.name])
+        widths = [getattr(self, f.name) for f in fields(self) if hints[f.name] is int]
         if min(widths) < 1:
             raise ValueError(f"all widths must be positive: {self}")
         if self.num_classes < 2:
@@ -93,34 +90,32 @@ class ModelConfig:
 
 
 class DualBranchModel:
-    """Holds the layers of both branches plus the fusion head."""
+    """Both branches plus the fusion head, over one parameter vector.
 
-    def __init__(
-        self,
-        config: ModelConfig,
-        conv: Conv1d,
-        fc: Dense,
-        coord1: Dense | None,
-        coord2: Dense | None,
-        head: Dense,
-    ):
+    `theta` is a flat float64 vector laid out in param_shapes order, the
+    checkpoint order. Every layer's weights and bias, and every entry of
+    parameters(), is a view into it: update them in place (`p[...] = x`,
+    `p -= x`) and never rebind them, or the layer and `theta` part ways.
+    """
+
+    def __init__(self, config: ModelConfig, theta: np.ndarray):
         self.config = config
-        self.conv = conv
-        self.fc = fc
-        self.coord1 = coord1
-        self.coord2 = coord2
-        self.head = head
+        self.theta = theta
+        p = param_views(config, theta)
+        self.conv = Conv1d(p["conv.weights"], p["conv.bias"])
+        self.fc = Dense(p["fc.weights"], p["fc.bias"], "relu")
+        self.coord1 = self.coord2 = None
+        if not config.baseline:
+            self.coord1 = Dense(p["coord1.weights"], p["coord1.bias"], "relu")
+            self.coord2 = Dense(p["coord2.weights"], p["coord2.bias"], "relu")
+        self.head = Dense(p["head.weights"], p["head.bias"], "softmax")
 
     def parameters(self) -> dict[str, np.ndarray]:
-        """Live parameter arrays in the fixed checkpoint order."""
-        params = {}
-        for name in param_shapes(self.config):
-            layer, attr = name.split(".")
-            params[name] = getattr(getattr(self, layer), attr)
-        return params
+        """Views of `theta` by name, in the fixed checkpoint order."""
+        return param_views(self.config, self.theta)
 
     def num_parameters(self) -> int:
-        return sum(arr.size for arr in self.parameters().values())
+        return self.theta.size
 
 
 @dataclass
@@ -136,7 +131,6 @@ class ForwardCache:
     flat: np.ndarray
     fc_out: np.ndarray
     drop_mask: np.ndarray
-    o1: np.ndarray
     coord_hidden_out: np.ndarray | None
     o2: np.ndarray | None
     fused: np.ndarray
@@ -147,7 +141,8 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Name and shape of every parameter, in checkpoint order.
 
     Dense weights are (fan_in, fan_out); conv weights are (filters, kernel).
-    The baseline has no coord1/coord2 entries.
+    The baseline has no coord1/coord2 entries. In a model's `theta` they lie
+    back to back in this order; write their views in place, never rebind.
     """
     shapes = {
         "conv.weights": (cfg.conv_filters, cfg.kernel_len),
@@ -169,22 +164,22 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _assemble(config: ModelConfig, arrays: dict[str, np.ndarray]) -> DualBranchModel:
-    """The model holding `arrays`, keyed like param_shapes(config)."""
+def param_count(cfg: ModelConfig) -> int:
+    return sum(math.prod(shape) for shape in param_shapes(cfg).values())
 
-    def dense(name: str, activation: str) -> Dense | None:
-        if f"{name}.weights" not in arrays:
-            return None
-        return Dense(arrays[f"{name}.weights"], arrays[f"{name}.bias"], activation)
 
-    return DualBranchModel(
-        config,
-        Conv1d(arrays["conv.weights"], arrays["conv.bias"]),
-        dense("fc", "relu"),
-        dense("coord1", "relu"),
-        dense("coord2", "relu"),
-        dense("head", "softmax"),
-    )
+def param_views(cfg: ModelConfig, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """Each parameter as a view into the flat vector `flat`, keyed and laid
+    out like param_shapes(cfg). Writes through a view land in `flat`."""
+    if flat.shape != (param_count(cfg),):
+        raise ShapeError(f"expected {param_count(cfg)} parameters, got shape {flat.shape}")
+    views = {}
+    offset = 0
+    for name, shape in param_shapes(cfg).items():
+        size = math.prod(shape)
+        views[name] = flat[offset : offset + size].reshape(shape)
+        offset += size
+    return views
 
 
 def build(config: ModelConfig, rng: np.random.Generator) -> DualBranchModel:
@@ -194,16 +189,14 @@ def build(config: ModelConfig, rng: np.random.Generator) -> DualBranchModel:
     so a seed pins every parameter.
     """
     config.validate()
-    arrays = {}
-    for name, shape in param_shapes(config).items():
-        if name.endswith(".bias"):
-            arrays[name] = np.zeros(shape)
-        elif name == "conv.weights":
+    model = DualBranchModel(config, np.zeros(param_count(config)))
+    for name, p in model.parameters().items():
+        if name == "conv.weights":
             # Drawn as (kernel, filters) and stored transposed; seeds keep their bytes.
-            arrays[name] = glorot_init(rng, *shape[::-1]).T.copy()
-        else:
-            arrays[name] = glorot_init(rng, *shape)
-    return _assemble(config, arrays)
+            p[...] = glorot_init(rng, *p.shape[::-1]).T
+        elif not name.endswith(".bias"):
+            p[...] = glorot_init(rng, *p.shape)
+    return model
 
 
 def forward(
@@ -255,7 +248,6 @@ def forward(
         flat=flat,
         fc_out=fc_out,
         drop_mask=drop_mask,
-        o1=o1,
         coord_hidden_out=coord_hidden_out,
         o2=o2,
         fused=fused,
@@ -303,7 +295,7 @@ def backward(model: DualBranchModel, cache: ForwardCache, label: int) -> dict[st
 
     grads["head.weights"] = head_g.weights
     grads["head.bias"] = head_g.bias
-    return {name: grads[name] for name in model.parameters()}
+    return grads
 
 
 def predict(model: DualBranchModel, spectral: np.ndarray, coords: np.ndarray) -> int:
@@ -360,18 +352,20 @@ def predict_many(
 
 
 def save_checkpoint(model: DualBranchModel, path) -> None:
-    """Versioned header, config echo as JSON, parameters as little-endian f64."""
+    """Versioned header, config echo as JSON, `theta` as little-endian f64."""
     cfg_json = json.dumps(asdict(model.config), sort_keys=True, separators=(",", ":"))
     payload = cfg_json.encode("utf-8")
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(payload)))
         f.write(payload)
-        for arr in model.parameters().values():
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        f.write(model.theta.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> DualBranchModel:
+    """The model saved at `path`; its parameters are views of one new `theta`.
+    A mistyped or invalid config, a parameter block of the wrong size or a
+    NaN/Inf value raises CheckpointError."""
     with open(path, "rb") as f:
         data = f.read()
     if data[:4] != CHECKPOINT_MAGIC:
@@ -383,21 +377,20 @@ def load_checkpoint(path) -> DualBranchModel:
         raise CheckpointError(f"{path}: unsupported version {version}")
     try:
         cfg = ModelConfig(**json.loads(data[12 : 12 + cfg_len]))
+        cfg.validate()
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad config block: {exc}") from exc
-    cfg.validate()
 
     offset = 12 + cfg_len
-    arrays = {}
-    for name, shape in param_shapes(cfg).items():
-        n = int(np.prod(shape))
-        end = offset + n * 8
-        if end > len(data):
-            raise CheckpointError(f"{path}: truncated parameter block")
-        arrays[name] = np.frombuffer(data, dtype="<f8", count=n, offset=offset).reshape(shape).copy()
-        if not np.all(np.isfinite(arrays[name])):
-            raise CheckpointError(f"{path}: {name} holds NaN or Inf values")
-        offset = end
-    if offset != len(data):
-        raise CheckpointError(f"{path}: {len(data) - offset} trailing bytes")
-    return _assemble(cfg, arrays)
+    count = param_count(cfg)
+    extra = len(data) - offset - 8 * count
+    if extra < 0:
+        raise CheckpointError(f"{path}: truncated parameter block")
+    if extra > 0:
+        raise CheckpointError(f"{path}: {extra} trailing bytes")
+    theta = np.frombuffer(data, dtype="<f8", count=count, offset=offset).astype(np.float64)
+    if not np.isfinite(theta).all():
+        views = param_views(cfg, theta)
+        name = next(n for n, p in views.items() if not np.isfinite(p).all())
+        raise CheckpointError(f"{path}: {name} holds NaN or Inf values")
+    return DualBranchModel(cfg, theta)

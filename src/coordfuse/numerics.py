@@ -1,16 +1,18 @@
-"""Array and randomness primitives shared by every other module.
+"""Array, randomness and input-checking primitives shared by every other module.
 
 Tensors throughout the package are plain numpy float64 ndarrays, row-major
 and contiguous. Randomness comes from numpy's PCG64 generator seeded with a
 single unsigned 64-bit integer, so any experiment replays bit-for-bit from
-its seed on every platform.
+its seed on every platform. `typed` checks a value against a field type.
 """
 
 from __future__ import annotations
 
+from typing import get_args, get_origin
+
 import numpy as np
 
-__all__ = ["create_rng", "glorot_init", "require_finite"]
+__all__ = ["create_rng", "glorot_init", "require_finite", "typed"]
 
 _SEED_LIMIT = 2**64
 
@@ -40,3 +42,24 @@ def require_finite(arr: np.ndarray, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains NaN or Inf values")
     return arr
+
+
+_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "a boolean"}
+
+
+def typed(key: str, val, kind):
+    """`val` if it has the field type `kind`, else TypeError naming `key`.
+    Ints widen to float; nothing else is converted, and a bool is never a
+    number."""
+    if get_origin(kind) is list:
+        if not isinstance(val, list) or not val:
+            raise TypeError(f"{key} must be a non-empty list")
+        (item,) = get_args(kind)
+        return [typed(f"{key}[{i}]", v, item) for i, v in enumerate(val)]
+    if kind in (int, float) and isinstance(val, bool):
+        raise TypeError(f"{key} must be a number, got {val!r}")
+    if kind is float and isinstance(val, int):
+        return float(val)
+    if not isinstance(val, kind):
+        raise TypeError(f"{key} must be {_KINDS[kind]}, got {val!r}")
+    return val

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from coordfuse.model import DualBranchModel, backward, forward
+from coordfuse.layers import cross_entropy
+from coordfuse.model import DualBranchModel, backward, forward, param_views
 from coordfuse.numerics import create_rng
 
 logger = logging.getLogger(__name__)
@@ -117,8 +118,6 @@ def train(
     `rng` drives both the epoch shuffles and the dropout masks. When
     omitted it is derived from cfg.seed. Labels are 1-based.
     """
-    from coordfuse.layers import cross_entropy
-
     cfg.validate()
     features = np.asarray(features, dtype=np.float64)
     coords = np.asarray(coords, dtype=np.float64)
@@ -136,6 +135,9 @@ def train(
     params = model.parameters()
     state = AdamState.for_params(params)
     history = TrainHistory()
+    # One flat batch gradient laid out like model.theta, named through views.
+    grad = np.empty_like(model.theta)
+    grads = param_views(model.config, grad)
 
     for epoch in range(cfg.max_epochs):
         order = rng.permutation(n)
@@ -143,7 +145,7 @@ def train(
         correct = 0
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            batch_grads = {k: np.zeros_like(p) for k, p in params.items()}
+            grad.fill(0.0)
             for i in batch:
                 probs, cache = forward(
                     model, features[i], coords[i], mode="train", rng=rng
@@ -157,10 +159,9 @@ def train(
                 if int(np.argmax(probs)) + 1 == labels[i]:
                     correct += 1
                 for name, g in backward(model, cache, int(labels[i])).items():
-                    batch_grads[name] += g
-            for name in batch_grads:
-                batch_grads[name] /= len(batch)
-            adam_step(params, batch_grads, state, cfg)
+                    grads[name] += g
+            grad /= len(batch)
+            adam_step(params, grads, state, cfg)
         history.loss.append(epoch_loss / n)
         history.train_acc.append(correct / n)
         if (epoch + 1) % 50 == 0 or epoch == cfg.max_epochs - 1:

@@ -369,6 +369,25 @@ def test_energy_non_finite_checkpoint_exits_2(tiny_experiment, tmp_path, capsys)
     assert "dual_energy" not in captured.out
 
 
+def test_energy_mistyped_checkpoint_config_exits_2(tiny_experiment, tmp_path, capsys):
+    blob = (tiny_experiment["out"] / "model.ckpt").read_bytes()
+    cfg_len = int.from_bytes(blob[8:12], "little")
+    cfg = json.loads(blob[12 : 12 + cfg_len])
+    cfg["num_bands"] = str(cfg["num_bands"])
+    mistyped = json.dumps(cfg).encode()
+    bad = tmp_path / "mistyped.ckpt"
+    bad.write_bytes(blob[:8] + len(mistyped).to_bytes(4, "little") + mistyped + blob[12 + cfg_len :])
+    rc = main(
+        ["energy", "--config", str(tiny_experiment["config"]),
+         "--out-dir", str(tiny_experiment["out"]), "--crop", "0,0,4,4",
+         "--dual-ckpt", str(bad)]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "num_bands must be an integer" in captured.err
+    assert "dual_energy" not in captured.out
+
+
 def test_readme_config_matches_emitted_defaults(tmp_path):
     text = README.read_text().split("## Config file", 1)[1]
     documented = json.loads(text.split("```json\n", 1)[1].split("```", 1)[0])

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import struct
 import tracemalloc
 
@@ -22,6 +23,7 @@ from coordfuse.model import (
     save_checkpoint,
 )
 from coordfuse.numerics import create_rng
+from coordfuse.optimizer import AdamState, TrainConfig, adam_step
 
 E2E_TOL = 1e-5
 
@@ -69,6 +71,10 @@ def test_config_validation():
         ModelConfig(num_bands=16, num_classes=3, keep_prob=0.0).validate()
     with pytest.raises(ValueError):
         ModelConfig(num_bands=16, num_classes=3, conv_filters=0).validate()
+    for bad in ({"num_bands": "16"}, {"conv_filters": 4.0}, {"num_classes": True},
+                {"keep_prob": "x"}, {"baseline": 1}):
+        with pytest.raises(TypeError, match=next(iter(bad))):
+            ModelConfig(**{"num_bands": 16, "num_classes": 3, **bad}).validate()
     ModelConfig(num_bands=16, num_classes=3).validate()
 
 
@@ -286,6 +292,27 @@ def test_checkpoint_rejects_corruption(tmp_path):
     with pytest.raises(CheckpointError, match="config"):
         load_checkpoint(bad)
 
+    # A mistyped config value is a CheckpointError naming the field, and is
+    # caught before the parameter block is sized from it.
+    good_cfg = json.loads(blob[12 : 12 + cfg_len])
+    for key, value in [
+        ("num_bands", "16"),
+        ("num_bands", 16.0),
+        ("num_classes", True),
+        ("conv_filters", 4.0),
+        ("kernel_len", None),
+        ("keep_prob", "x"),
+        ("keep_prob", None),
+        ("baseline", 0),
+        ("baseline", "false"),
+    ]:
+        mistyped = json.dumps({**good_cfg, key: value}).encode()
+        bad.write_bytes(
+            blob[:4] + struct.pack("<II", 1, len(mistyped)) + mistyped + blob[12 + cfg_len :]
+        )
+        with pytest.raises(CheckpointError, match=f"bad config block: {key} must be"):
+            load_checkpoint(bad)
+
 
 @pytest.mark.parametrize("baseline", [False, True])
 def test_parameter_layout_is_pinned(tmp_path, baseline):
@@ -296,6 +323,33 @@ def test_parameter_layout_is_pinned(tmp_path, baseline):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == LAYOUT_SHA256[baseline]
     assert list(model.parameters()) == list(param_shapes(cfg))
     assert [a.shape for a in model.parameters().values()] == list(param_shapes(cfg).values())
+
+
+@pytest.mark.parametrize("source", ["build", "load_checkpoint"])
+@pytest.mark.parametrize("baseline", [False, True])
+def test_parameters_are_views_of_theta(tmp_path, baseline, source):
+    model = small_model(seed=3, baseline=baseline)
+    if source == "load_checkpoint":
+        save_checkpoint(model, tmp_path / "m.ckpt")
+        model = load_checkpoint(tmp_path / "m.ckpt")
+    theta = model.theta
+    assert theta.dtype == np.float64 and theta.ndim == 1 and theta.flags.writeable
+    assert model.num_parameters() == theta.size
+    params = model.parameters()
+    layers = [model.conv, model.fc, model.head]
+    if not baseline:
+        layers += [model.coord1, model.coord2]
+    for arr in [*params.values(), *(a for layer in layers for a in (layer.weights, layer.bias))]:
+        assert np.shares_memory(arr, theta)
+    # The views tile theta in param_shapes order, with no gap and no overlap.
+    assert np.array_equal(np.concatenate([p.ravel() for p in params.values()]), theta)
+
+    before = theta.copy()
+    grads = {k: np.ones_like(p) for k, p in params.items()}
+    adam_step(params, grads, AdamState.for_params(params), TrainConfig())
+    assert np.all(theta < before)
+    assert np.array_equal(np.concatenate([p.ravel() for p in params.values()]), theta)
+    assert np.array_equal(model.head.bias, params["head.bias"])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
