@@ -242,15 +242,15 @@ def cmd_run(args) -> int:
     k = labels.num_classes
     if k < 2:
         raise ValueError(f"need at least 2 classes, found {k}")
-    norm = normalize_cube(cube)
+    cube = normalize_cube(cube)  # drops the raw cube: a run holds one
 
     spec = SplitSpec(fraction=cfg.fraction, seed=cfg.seed, min_per_class=cfg.min_per_class)
     train_idx, test_idx = stratified_split(labels, spec)
-    train_set = extract_samples(norm, labels, train_idx)
-    test_set = extract_samples(norm, labels, test_idx)
+    train_set = extract_samples(cube, labels, train_idx)
+    test_set = extract_samples(cube, labels, test_idx)
     train_counts = np.bincount(train_set.labels, minlength=k + 1)[1:]
     h, w = cube.height, cube.width
-    raster_features = norm.values.reshape(h * w, cube.bands)
+    raster_features = cube.values.reshape(h * w, cube.bands)
     raster_coords = coord_features(*np.indices((h, w)), h, w).reshape(h * w, 2)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -321,8 +321,8 @@ def cmd_energy(args) -> int:
             f"appearance_bands {cfg.appearance_bands} out of range for "
             f"{cube.bands} bands"
         )
-    norm = normalize_cube(cube)
-    window = norm.values[r0 : r0 + ch, c0 : c0 + cw]
+    cube = normalize_cube(cube)  # drops the raw cube
+    window = cube.values[r0 : r0 + ch, c0 : c0 + cw]
     appearance = window[:, :, cfg.appearance_bands]
     crop_features = window.reshape(ch * cw, cube.bands)
     # Coordinates stay in the full-image frame.

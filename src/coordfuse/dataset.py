@@ -31,6 +31,9 @@ LABEL_MAGIC = b"HLB1"
 # Guard against bogus headers allocating huge buffers.
 MAX_ELEMENTS = 2**32
 
+# Payload reads and synthetic noise draws go through a buffer of this size.
+_BLOCK_BYTES = 1 << 20
+
 
 class CubeFormatError(ValueError):
     """A raster file does not conform to its declared format."""
@@ -155,13 +158,16 @@ class SplitSpec:
         return min(max(raw, self.min_per_class), class_total - 1)
 
 
-def _read_raster(path, magic: bytes, n_dims: int, dtype: str) -> np.ndarray:
+def _read_raster(path, magic: bytes, n_dims: int, dtype: str, out_dtype) -> np.ndarray:
     """Payload of a cube or label file shaped by its header dimensions.
 
-    Magic, dimensions and the file size are checked before the payload is read.
+    Magic, dimensions and the file size are checked before the payload is
+    read. The payload is read in blocks of at most `_BLOCK_BYTES`, each
+    converted straight into the `out_dtype` result, so reading holds the
+    result plus one block.
     """
     header_len = 4 + 4 * n_dims
-    with open(path, "rb", buffering=0) as f:  # unbuffered: read() copies the payload once
+    with open(path, "rb", buffering=0) as f:  # unbuffered: no read-ahead copy
         header = f.read(header_len)
         if header[:4] != magic:
             raise BadMagicError(f"{path}: expected magic {magic!r}, got {header[:4]!r}")
@@ -171,32 +177,47 @@ def _read_raster(path, magic: bytes, n_dims: int, dtype: str) -> np.ndarray:
         shape, n = "x".join(map(str, dims)), math.prod(dims)
         if min(dims) < 1 or n > MAX_ELEMENTS:
             raise DimensionOverflowError(f"{path}: implausible dimensions {shape}")
-        expected = header_len + n * np.dtype(dtype).itemsize
+        itemsize = np.dtype(dtype).itemsize
+        expected = header_len + n * itemsize
         size = os.fstat(f.fileno()).st_size
         if size != expected:
             raise TruncatedPayloadError(
                 f"{path}: expected {expected} bytes for {shape}, got {size}"
             )
-        return np.frombuffer(f.read(), dtype=dtype).reshape(dims)
+        out = np.empty(n, dtype=out_dtype)
+        block = np.empty(min(n, _BLOCK_BYTES // itemsize), dtype=dtype)
+        for start in range(0, n, block.size):
+            part = block[: n - start]
+            rest = part.view(np.uint8)
+            while rest.size:  # a raw read may return fewer bytes than asked
+                got = f.readinto(rest)
+                if not got:
+                    raise TruncatedPayloadError(
+                        f"{path}: payload ended after {f.tell() - header_len} "
+                        f"of {n * itemsize} bytes"
+                    )
+                rest = rest[got:]
+            out[start : start + part.size] = part
+        return out.reshape(dims)
 
 
 def load_cube(path) -> DataCube:
     """Read a cube file, validating magic, dimensions, and the file size
     before reading the payload."""
-    return DataCube(_read_raster(path, CUBE_MAGIC, 3, "<f4").astype(np.float64))
+    return DataCube(_read_raster(path, CUBE_MAGIC, 3, "<f4", np.float64))
 
 
 def save_cube(cube: DataCube, path) -> None:
     with open(path, "wb") as f:
         f.write(CUBE_MAGIC)
         f.write(struct.pack("<III", cube.height, cube.width, cube.bands))
-        f.write(np.ascontiguousarray(cube.values, dtype="<f4").tobytes())
+        f.write(np.ascontiguousarray(cube.values, dtype="<f4"))
 
 
 def load_labels(path) -> LabelMap:
     """Read a label file, validating magic, dimensions, and the file size
     before reading the payload."""
-    return LabelMap(_read_raster(path, LABEL_MAGIC, 2, "<u2").astype(np.int64))
+    return LabelMap(_read_raster(path, LABEL_MAGIC, 2, "<u2", np.int64))
 
 
 def save_labels(labels: LabelMap, path) -> None:
@@ -205,7 +226,7 @@ def save_labels(labels: LabelMap, path) -> None:
     with open(path, "wb") as f:
         f.write(LABEL_MAGIC)
         f.write(struct.pack("<II", labels.height, labels.width))
-        f.write(np.ascontiguousarray(labels.labels, dtype="<u2").tobytes())
+        f.write(np.ascontiguousarray(labels.labels, dtype="<u2"))
 
 
 def from_csv(path) -> tuple[DataCube, LabelMap]:
@@ -253,14 +274,20 @@ def from_csv(path) -> tuple[DataCube, LabelMap]:
 
 
 def normalize_cube(cube: DataCube) -> DataCube:
-    """Min-max scale each band to [0, 1]; constant bands map to all zeros."""
-    require_finite(cube.values, "cube")
+    """Min-max scale each band to [0, 1]; constant bands map to all zeros.
+
+    The scaled cube is the one full-size array made; the input is unchanged.
+    """
     lo = cube.values.min(axis=(0, 1))
     hi = cube.values.max(axis=(0, 1))
+    # NaN and +-Inf anywhere in a band carry through to its min or max.
+    require_finite(lo, "cube")
+    require_finite(hi, "cube")
     span = hi - lo
     flat = np.where(span == 0.0)[0]
     span[flat] = 1.0
-    scaled = (cube.values - lo) / span
+    scaled = np.subtract(cube.values, lo)
+    scaled /= span
     scaled[:, :, flat] = 0.0
     return DataCube(scaled)
 
@@ -282,7 +309,7 @@ def coord_features(
         )
     r = rows / (height - 1) if height > 1 else np.zeros(rows.shape)
     c = cols / (width - 1) if width > 1 else np.zeros(cols.shape)
-    return np.stack([r, c], axis=-1).astype(np.float64)
+    return np.stack([r, c], axis=-1)
 
 
 def stratified_split(
@@ -345,9 +372,9 @@ def extract_samples(cube: DataCube, labels: LabelMap, indices: np.ndarray) -> Sa
     return SampleSet(
         rows=rows.copy(),
         cols=cols.copy(),
-        features=cube.values[rows, cols].astype(np.float64),
+        features=cube.values[rows, cols],
         coords=coord_features(rows, cols, cube.height, cube.width),
-        labels=lab.astype(np.int64),
+        labels=lab,
     )
 
 
@@ -408,5 +435,15 @@ def generate_synthetic(
         prototypes[b] = prototypes[a]
 
     values = prototypes[assignment].reshape(height, width, bands)
-    values = values + noise * rng.standard_normal((height, width, bands))
-    return DataCube(np.clip(values, 0.0, 1.0)), LabelMap(labels)
+    # Noise is drawn block by block into one buffer, in the same order as a
+    # single (height, width, bands) draw, and added in place.
+    flat_values = values.reshape(-1)
+    per_block = _BLOCK_BYTES // flat_values.itemsize
+    draw = np.empty(min(per_block, flat_values.size))
+    for start in range(0, flat_values.size, per_block):
+        block = draw[: flat_values.size - start]
+        rng.standard_normal(out=block)
+        block *= noise
+        flat_values[start : start + block.size] += block
+    np.clip(values, 0.0, 1.0, out=values)
+    return DataCube(values), LabelMap(labels)

@@ -13,6 +13,7 @@ an inference routine: the O(N^2) brute force is intended for small crops.
 from __future__ import annotations
 
 import colorsys
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,9 +160,14 @@ class CrfParams:
     theta_gamma: float = 3.0
 
     def validate(self) -> None:
+        for name in ("w1", "w2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("theta_alpha", "theta_beta", "theta_gamma"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {getattr(self, name)}"
+                )
 
 
 def dense_energy(

@@ -9,6 +9,7 @@ the whole trajectory bit for bit.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,12 +36,14 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(
+                f"learning rate must be positive and finite, got {self.learning_rate}"
+            )
         if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
             raise ValueError(f"betas must lie in [0, 1): {self.beta1}, {self.beta2}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be positive, got {self.batch_size}")
         if self.max_epochs < 1:

@@ -102,6 +102,22 @@ def test_load_config_defaults(tmp_path):
         ('{"cube": "a", "labels": "b", "min_per_class": -1}', "min_per_class"),
         ('{"cube": 5, "labels": "b"}', "cube"),
         ('{"cube": "a", "labels": "b", "model": []}', "model"),
+        # Python's json reads the non-standard literals Infinity and NaN.
+        *(
+            (f'{{"cube": "a", "labels": "b", "{section}": {{"{key}": {literal}}}}}', message)
+            for section, key, message in [
+                ("train", "learning_rate", "learning rate"),
+                ("train", "epsilon", "epsilon"),
+                ("train", "beta1", "betas"),
+                ("train", "beta2", "betas"),
+                ("crf", "w1", "w1"),
+                ("crf", "w2", "w2"),
+                ("crf", "theta_alpha", "theta_alpha"),
+                ("crf", "theta_beta", "theta_beta"),
+                ("crf", "theta_gamma", "theta_gamma"),
+            ]
+            for literal in ("Infinity", "-Infinity", "NaN")
+        ),
     ],
 )
 def test_load_config_rejects(tmp_path, body, message):

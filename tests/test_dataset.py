@@ -1,9 +1,12 @@
+import hashlib
+import io
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from coordfuse import dataset as dataset_module
 from coordfuse.dataset import (
     BadMagicError,
     CsvFormatError,
@@ -30,6 +33,53 @@ from coordfuse.numerics import create_rng
 # alongside the 5% training counts its reference split reports.
 REFERENCE_POPULATIONS = [46, 1428, 830, 237, 483, 730, 28, 478, 20, 972, 2455, 593, 205, 1265, 386, 93]
 REFERENCE_TRAIN_COUNTS = [3, 72, 42, 12, 25, 37, 2, 24, 2, 49, 123, 30, 11, 64, 20, 5]
+
+MIB = 1 << 20
+
+# (height, width, bands, classes) scenes for the ingestion pins. "odd" spans
+# several 1 MiB read blocks and noise-draw blocks with a partial last block;
+# "pines" is the Indian Pines shape.
+INGESTION_SHAPES = {"odd": (61, 53, 219, 7), "pines": (145, 145, 220, 16)}
+
+# sha256, from the whole-array implementation, of each ingestion step on
+# generate_synthetic(create_rng(5), *shape, coordinate_separable=True):
+# its values and labels, the save_cube file, load_cube + load_labels,
+# normalize_cube, and extract_samples on both halves of a 5% split (seed 5).
+INGESTION_SHA256 = {
+    "odd": {
+        "generate_synthetic": "44a6381d652642a54aad15d4a3677a7071fdbf9d26757c454c6effc2bead001e",
+        "save_cube": "14eb76e712eef329824b1cc9ef0097b4d69e8a80209ffa4472c54c7918c0796b",
+        "load": "3e5794ef8d17f404e19ecbbd14d1abf0e7a8f5bfb139584955e73f7bedf34662",
+        "normalize_cube": "ad5a36a110ac3d4cf109ffd8b60ad12f07a10c74fcffed8e3f8f73533d2e1cf0",
+        "extract_samples": "c2a5dbac7b4bf7cda35a2519ef7ad9c4f30cef42037454dd438db2c94919523b",
+    },
+    "pines": {
+        "generate_synthetic": "18a226cb252a6efac8f48982416f54983e4ec221b558263cc12606c074046cb8",
+        "save_cube": "a626acb99e5641689d9efc0525c542c0c406c537bd12b4987b725dea17c6c52d",
+        "load": "e93ea6d73a68a79e2cc440b2a61823733f78f922cf3ff626145f32f23bee0d25",
+        "normalize_cube": "e05b0793a7a221ee858d08bb84bd9fb99b7f16ba1eba194d062e04cf6b4a7e6d",
+        "extract_samples": "33765f64a44d9b1e2658fb8448cb16e1f7bb92a5a00d5b9048f1b60313c7db2c",
+    },
+}
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(f"{a.dtype.str} {a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _traced_peak(fn, *args):
+    """`fn(*args)` and the peak of the memory it traced while running."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def test_datacube_validation():
@@ -281,6 +331,12 @@ def test_normalize_cube_rejects_nonfinite():
     vals[0, 0, 0] = np.inf
     with pytest.raises(ValueError):
         normalize_cube(DataCube(vals))
+    # Any NaN or Inf, in any band, among finite values.
+    for bad in (np.nan, np.inf, -np.inf):
+        vals = np.arange(24, dtype=np.float64).reshape(2, 3, 4)
+        vals[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="^cube contains NaN or Inf values$"):
+            normalize_cube(DataCube(vals))
 
 
 def test_coord_features():
@@ -434,3 +490,88 @@ def test_generate_synthetic_validation():
         generate_synthetic(rng, 4, 4, 2, 2, overlap=1.0)
     with pytest.raises(ValueError):
         generate_synthetic(rng, 4, 4, 2, 2, noise=-0.1)
+
+
+@pytest.mark.parametrize("name", list(INGESTION_SHAPES))
+def test_ingestion_is_pinned(tmp_path, name):
+    h, w, b, k = INGESTION_SHAPES[name]
+    cube, labels = generate_synthetic(create_rng(5), h, w, b, k, coordinate_separable=True)
+    got = {"generate_synthetic": _digest(cube.values, labels.labels)}
+    save_cube(cube, tmp_path / "c.hcube")
+    save_labels(labels, tmp_path / "l.hlbl")
+    del cube
+    got["save_cube"] = hashlib.sha256((tmp_path / "c.hcube").read_bytes()).hexdigest()
+    cube, labels = load_cube(tmp_path / "c.hcube"), load_labels(tmp_path / "l.hlbl")
+    got["load"] = _digest(cube.values, labels.labels)
+    norm = normalize_cube(cube)
+    got["normalize_cube"] = _digest(norm.values)
+    del cube
+    samples = [
+        extract_samples(norm, labels, idx)
+        for idx in stratified_split(labels, SplitSpec(0.05, seed=5))
+    ]
+    got["extract_samples"] = _digest(
+        *(getattr(s, f) for s in samples for f in ("rows", "cols", "features", "coords", "labels"))
+    )
+    assert got == INGESTION_SHA256[name]
+
+
+def test_ingestion_memory_is_bounded(tmp_path):
+    h, w, b, k = INGESTION_SHAPES["odd"]
+    # numpy sets some paths up on first use (np.unique along an axis); warm
+    # them so that the peaks below hold only the step's own arrays.
+    warm_cube, warm_labels = generate_synthetic(create_rng(0), 6, 5, 4, 3)
+    extract_samples(normalize_cube(warm_cube), warm_labels, np.argwhere(warm_labels.labels))
+
+    (cube, labels), peak = _traced_peak(generate_synthetic, create_rng(5), h, w, b, k)
+    distances = h * w * k * 8  # int64 squared distance of every pixel to every seed
+    # The cube, one noise-draw buffer, the distances and the per-pixel ids.
+    assert peak <= cube.values.nbytes + MIB + 2 * distances
+
+    path = tmp_path / "c.hcube"
+    _, peak = _traced_peak(save_cube, cube, path)
+    assert peak <= cube.values.nbytes // 2 + 64 * 1024  # the float32 copy
+
+    loaded, peak = _traced_peak(load_cube, path)
+    payload = loaded.values.nbytes // 2
+    assert payload > 2 * MIB and payload % MIB  # several read blocks, the last partial
+    assert peak <= loaded.values.nbytes + MIB + 64 * 1024
+
+    before = loaded.values.copy()
+    norm, peak = _traced_peak(normalize_cube, loaded)
+    assert peak <= 1.1 * norm.values.nbytes
+    assert np.array_equal(loaded.values, before)  # the input is not scaled in place
+
+    samples, peak = _traced_peak(extract_samples, norm, labels, np.argwhere(labels.labels))
+    assert peak <= 1.1 * samples.features.nbytes
+
+
+@pytest.mark.parametrize("limit", [1000, MIB])
+def test_load_short_payload_read_is_truncation(tmp_path, monkeypatch, limit):
+    h, w, b, _ = INGESTION_SHAPES["odd"]
+    values = create_rng(1).random((h, w, b)).astype(np.float32).astype(np.float64)
+    path = tmp_path / "c.hcube"
+    save_cube(DataCube(values), path)
+    payload = 4 * values.size
+    stop = [None]
+
+    class ShortReads(io.FileIO):
+        """Each read returns at most `limit` bytes, and none past `stop`."""
+
+        def readinto(self, buffer):
+            end = self.tell() + min(len(buffer), limit)
+            if stop[0] is not None:
+                end = min(end, stop[0])
+            return super().readinto(memoryview(buffer)[: max(0, end - self.tell())])
+
+    monkeypatch.setattr(
+        dataset_module, "open", lambda p, mode, buffering: ShortReads(p, mode), raising=False
+    )
+    # Short reads that go on are joined: the cube loads whole.
+    assert np.array_equal(load_cube(path).values, values)
+    # A payload that ends early (the file shrank after its size was checked)
+    # is an error, not a partly zero cube.
+    stop[0] = 16 + payload - 4004
+    message = f"ended after {payload - 4004} of {payload} bytes$"
+    with pytest.raises(TruncatedPayloadError, match=message):
+        load_cube(path)
