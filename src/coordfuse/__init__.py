@@ -30,7 +30,6 @@ from coordfuse.model import (
     forward_many,
     load_checkpoint,
     param_shapes,
-    predict,
     predict_many,
     save_checkpoint,
 )

@@ -25,8 +25,6 @@ from typing import get_type_hints
 import numpy as np
 
 from coordfuse.dataset import (
-    CsvFormatError,
-    CubeFormatError,
     SplitSpec,
     coord_features,
     extract_samples,
@@ -49,7 +47,6 @@ from coordfuse.evaluation import (
     write_report,
 )
 from coordfuse.model import (
-    CheckpointError,
     ModelConfig,
     build,
     forward_many,
@@ -73,7 +70,7 @@ class UsageError(Exception):
 
 
 # Section fields that `run` sets per model rather than reading from the config.
-_RUN_SET_FIELDS = ("num_bands", "num_classes", "baseline", "seed")
+_RUN_SET_FIELDS = ("num_bands", "num_classes", "baseline")
 
 
 def _defaults(cls) -> dict:
@@ -104,8 +101,8 @@ class ExperimentConfig:
             num_bands=num_bands, num_classes=num_classes, baseline=baseline, **self.model
         )
 
-    def train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(seed=seed, **self.train)
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(**self.train)
 
     def crf_params(self) -> CrfParams:
         return CrfParams(**self.crf)
@@ -171,7 +168,7 @@ def load_config(path) -> ExperimentConfig:
     # Fail on bad hyperparameter values now, not mid-run. The dummy band
     # count is generous so only data-independent problems trip here.
     try:
-        cfg.train_config(seed=0).validate()
+        cfg.train_config().validate()
         cfg.crf_params().validate()
         dummy_bands = cfg.model["kernel_len"] + cfg.model["pool_width"] + 8
         cfg.model_config(num_bands=dummy_bands, num_classes=2, baseline=False).validate()
@@ -194,16 +191,19 @@ def cmd_convert(args) -> int:
 def cmd_synth(args) -> int:
     _check_seed(args.seed)
     rng = create_rng(args.seed)
-    cube, labels = generate_synthetic(
-        rng,
-        args.height,
-        args.width,
-        args.bands,
-        args.classes,
-        noise=args.noise,
-        overlap=args.overlap,
-        coordinate_separable=args.coordinate_separable,
-    )
+    try:
+        cube, labels = generate_synthetic(
+            rng,
+            args.height,
+            args.width,
+            args.bands,
+            args.classes,
+            noise=args.noise,
+            overlap=args.overlap,
+            coordinate_separable=args.coordinate_separable,
+        )
+    except ValueError as exc:  # every one is a bad argument
+        raise UsageError(str(exc)) from exc
     save_cube(cube, args.cube)
     save_labels(labels, args.labels)
     print(
@@ -268,8 +268,8 @@ def cmd_run(args) -> int:
             train_set.features,
             train_set.coords,
             train_set.labels,
-            cfg.train_config(seed),
-            rng=rng,
+            cfg.train_config(),
+            rng,
         )
         preds = predict_many(model, test_set.features, test_set.coords)
         report = metrics(confusion(preds, test_set.labels, num_classes=k))
@@ -420,9 +420,6 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (CubeFormatError, CsvFormatError, CheckpointError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except (ValueError, KeyError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

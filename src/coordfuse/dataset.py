@@ -233,7 +233,8 @@ def from_csv(path) -> tuple[DataCube, LabelMap]:
     """Build a cube and label map from a pixel CSV.
 
     Grid dimensions are max(row)+1 by max(col)+1; band count comes from the
-    first line and must be consistent. Duplicate pixels are an error.
+    first line and must be consistent. Duplicate pixels and band values that
+    are not finite as float32 are errors.
     """
     pixels = {}
     n_bands = None
@@ -250,8 +251,10 @@ def from_csv(path) -> tuple[DataCube, LabelMap]:
                 raise CsvFormatError(f"{path}:{lineno}: negative row/col/label")
             if not values:
                 raise CsvFormatError(f"{path}:{lineno}: no band values")
-            if not all(np.isfinite(values)):
-                raise CsvFormatError(f"{path}:{lineno}: non-finite band value")
+            with np.errstate(over="ignore"):
+                stored = np.asarray(values, dtype=np.float32)
+            if not np.isfinite(stored).all():
+                raise CsvFormatError(f"{path}:{lineno}: non-finite band value in float32")
             if n_bands is None:
                 n_bands = len(values)
             elif len(values) != n_bands:
@@ -407,8 +410,8 @@ def generate_synthetic(
         raise ValueError(f"{height}x{width} image cannot hold {n_classes} regions")
     if not 0.0 <= overlap < 1.0:
         raise ValueError(f"overlap must be in [0, 1), got {overlap}")
-    if noise < 0.0:
-        raise ValueError(f"noise must be >= 0, got {noise}")
+    if not 0.0 <= noise < math.inf:
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
 
     grid = np.stack(
         np.meshgrid(np.arange(height), np.arange(width), indexing="ij"), axis=-1

@@ -39,19 +39,12 @@ class Conv1d:
 
 @dataclass
 class Dense:
-    """Fully connected layer computing activation(v @ weights + bias)."""
+    """Fully connected layer computing activation(v @ weights + bias), where
+    the activation is "relu" or "identity"."""
 
     weights: np.ndarray  # (in_dim, out_dim)
     bias: np.ndarray  # (out_dim,)
     activation: str = "identity"
-
-
-@dataclass
-class DropoutSpec:
-    """Inverted dropout: keep with probability keep_prob, rescale by 1/keep_prob."""
-
-    keep_prob: float
-    mode: str = "train"  # "train" | "inference"
 
 
 @dataclass
@@ -182,8 +175,6 @@ def dense_forward(layer: Dense, v: np.ndarray) -> np.ndarray:
     z = v @ layer.weights + layer.bias
     if layer.activation == "relu":
         return relu(z)
-    if layer.activation == "softmax":
-        return softmax(z)
     if layer.activation == "identity":
         return z
     raise ValueError(f"unknown activation {layer.activation!r}")
@@ -192,13 +183,8 @@ def dense_forward(layer: Dense, v: np.ndarray) -> np.ndarray:
 def dense_backward(
     layer: Dense, v: np.ndarray, out: np.ndarray, grad_out: np.ndarray
 ) -> LayerGrads:
-    """Gradients of a scalar loss through a dense layer.
-
-    For relu/identity, `grad_out` is the loss gradient at the layer output.
-    A softmax layer is always paired with `cross_entropy`, which already
-    differentiates through the softmax, so there `grad_out` must be the
-    gradient with respect to the pre-activation logits.
-    """
+    """Gradients of a scalar loss through a dense layer; `grad_out` is the
+    loss gradient at the layer output."""
     v = np.asarray(v, dtype=np.float64)
     out_dim = layer.bias.shape[0]
     if out.shape != (out_dim,) or grad_out.shape != (out_dim,):
@@ -208,7 +194,7 @@ def dense_backward(
         )
     if layer.activation == "relu":
         dz = np.where(out > 0.0, grad_out, 0.0)
-    elif layer.activation in ("softmax", "identity"):
+    elif layer.activation == "identity":
         dz = np.asarray(grad_out, dtype=np.float64)
     else:
         raise ValueError(f"unknown activation {layer.activation!r}")
@@ -216,25 +202,22 @@ def dense_backward(
 
 
 def dropout(
-    spec: DropoutSpec, rng: np.random.Generator | None, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply inverted dropout to `v` or to each row of an (n, d) stack,
-    returning (output, keep mask).
+    keep_prob: float, rng: np.random.Generator | None, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Inverted dropout of `v`, or of each row of an (n, d) stack: keep each
+    value with probability keep_prob and rescale the kept ones by 1/keep_prob.
 
-    Inference mode (and keep_prob == 1) is the identity map; its mask is one
-    (d,) vector of ones, which broadcasts against `v`.
+    Returns (output, keep mask). Only a given rng with keep_prob < 1 draws a
+    mask; otherwise (inference, or nothing to drop) `v` passes through and
+    the mask is None.
     """
-    if not 0.0 < spec.keep_prob <= 1.0:
-        raise ValueError(f"keep_prob must be in (0, 1], got {spec.keep_prob}")
-    if spec.mode not in ("train", "inference"):
-        raise ValueError(f"unknown dropout mode {spec.mode!r}")
+    if not 0.0 < keep_prob <= 1.0:
+        raise ValueError(f"keep_prob must be in (0, 1], got {keep_prob}")
     v = np.asarray(v, dtype=np.float64)
-    if spec.mode == "inference" or spec.keep_prob == 1.0:
-        return v, np.ones(v.shape[-1])
-    if rng is None:
-        raise ValueError("train-mode dropout requires an rng")
-    mask = (rng.random(v.shape) < spec.keep_prob).astype(np.float64)
-    return v * mask / spec.keep_prob, mask
+    if rng is None or keep_prob == 1.0:
+        return v, None
+    mask = (rng.random(v.shape) < keep_prob).astype(np.float64)
+    return v * mask / keep_prob, mask
 
 
 def cross_entropy(probs: np.ndarray, class_index: int) -> tuple[float, np.ndarray]:

@@ -3,8 +3,9 @@
 Branch 1 runs a per-pixel spectrum through conv -> maxpool -> dense(relu)
 -> dropout. Branch 2 runs the two coordinate features through a 256-node
 then a 100-node relu layer. The branch outputs are fused by elementwise
-addition and classified by a softmax head. The baseline drops branch 2 and
-the addition, leaving the plain spectral CNN.
+addition and classified by a linear head followed by a softmax. The
+baseline drops branch 2 and the addition, leaving the plain spectral CNN.
+An rng is the only switch between training and inference (see `forward`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 from coordfuse.layers import (
     Conv1d,
     Dense,
-    DropoutSpec,
     ShapeError,
     conv1d_backward,
     conv1d_forward,
@@ -30,6 +30,7 @@ from coordfuse.layers import (
     dropout,
     maxpool1d_backward,
     maxpool1d_forward,
+    softmax,
 )
 from coordfuse.numerics import glorot_init, typed
 
@@ -108,7 +109,7 @@ class DualBranchModel:
         if not config.baseline:
             self.coord1 = Dense(p["coord1.weights"], p["coord1.bias"], "relu")
             self.coord2 = Dense(p["coord2.weights"], p["coord2.bias"], "relu")
-        self.head = Dense(p["head.weights"], p["head.bias"], "softmax")
+        self.head = Dense(p["head.weights"], p["head.bias"])
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Views of `theta` by name, in the fixed checkpoint order."""
@@ -120,17 +121,17 @@ class DualBranchModel:
 
 @dataclass
 class ForwardCache:
-    """Every intermediate of one forward; backward needs a single-pixel,
-    train-mode one. The pool's routing is not kept: backward recomputes it
-    from `conv_out` and the maxima in `flat`."""
+    """Every intermediate of one forward; backward needs a single-pixel one.
+    `drop_mask` is None when the forward drew no dropout mask. The pool's
+    routing is not kept: backward recomputes it from `conv_out` and the
+    maxima in `flat`."""
 
-    mode: str
     spectral: np.ndarray
     coords: np.ndarray
     conv_out: np.ndarray
     flat: np.ndarray
     fc_out: np.ndarray
-    drop_mask: np.ndarray
+    drop_mask: np.ndarray | None
     coord_hidden_out: np.ndarray | None
     o2: np.ndarray | None
     fused: np.ndarray
@@ -203,18 +204,17 @@ def forward(
     model: DualBranchModel,
     spectral: np.ndarray,
     coords: np.ndarray,
-    mode: str = "inference",
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Class distribution for one pixel, plus the cache backward needs.
 
+    With an rng the spectral branch's dropout draws its mask from it (the
+    training forward); without one no dropout is applied (inference).
     `spectral` and `coords` may also be (n, B) and (n, 2) stacks, giving
     (n, K) distributions. The baseline ignores `coords` entirely; its output
     is a function of the spectrum alone.
     """
     cfg = model.config
-    if mode not in ("train", "inference"):
-        raise ValueError(f"unknown mode {mode!r}")
     spectral = np.asarray(spectral, dtype=np.float64)
     coords = np.asarray(coords, dtype=np.float64)
     if spectral.ndim not in (1, 2) or spectral.shape[-1] != cfg.num_bands:
@@ -229,7 +229,7 @@ def forward(
     pooled = maxpool1d_forward(conv_out, cfg.pool_width, cfg.pool_stride)
     flat = pooled.reshape(*lead, -1)  # filter-major, positions within a filter contiguous
     fc_out = dense_forward(model.fc, flat)
-    o1, drop_mask = dropout(DropoutSpec(cfg.keep_prob, mode), rng, fc_out)
+    o1, drop_mask = dropout(cfg.keep_prob, rng, fc_out)
 
     coord_hidden_out = o2 = None
     if cfg.baseline:
@@ -239,9 +239,8 @@ def forward(
         o2 = dense_forward(model.coord2, coord_hidden_out)
         fused = o1 + o2
 
-    probs = dense_forward(model.head, fused)
+    probs = softmax(dense_forward(model.head, fused))
     cache = ForwardCache(
-        mode=mode,
         spectral=spectral,
         coords=coords,
         conv_out=conv_out,
@@ -256,25 +255,29 @@ def forward(
     return probs, cache
 
 
-def backward(model: DualBranchModel, cache: ForwardCache, label: int) -> dict[str, np.ndarray]:
-    """Cross-entropy gradients for every parameter, keyed like parameters().
+def backward(
+    model: DualBranchModel, cache: ForwardCache, label: int
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Cross-entropy loss of the cached forward and its gradient for every
+    parameter, keyed like parameters().
 
     The fused vector is a plain sum, so each branch receives the full
     upstream gradient. `label` is a 1-based class id.
     """
     cfg = model.config
-    if cache.mode != "train":
-        raise ValueError("backward requires a train-mode forward cache")
     if not 1 <= label <= cfg.num_classes:
         raise ValueError(f"label {label} out of range 1..{cfg.num_classes}")
 
-    _, d_logits = cross_entropy(cache.probs, label - 1)
+    loss, d_logits = cross_entropy(cache.probs, label - 1)
+    # The head is linear: dense_backward reads only the shape of its output.
     head_g = dense_backward(model.head, cache.fused, cache.probs, d_logits)
     d_fused = head_g.inputs
 
     grads: dict[str, np.ndarray] = {}
-    # Branch 1: undo dropout scaling, then dense, pool, conv.
-    d_fc_out = d_fused * cache.drop_mask / cfg.keep_prob
+    # Branch 1: undo any dropout scaling, then dense, pool, conv.
+    d_fc_out = d_fused
+    if cache.drop_mask is not None:
+        d_fc_out = d_fused * cache.drop_mask / cfg.keep_prob
     fc_g = dense_backward(model.fc, cache.flat, cache.fc_out, d_fc_out)
     pooled = cache.flat.reshape(cfg.conv_filters, cfg.pooled_len)
     d_pooled = fc_g.inputs.reshape(pooled.shape)
@@ -295,13 +298,7 @@ def backward(model: DualBranchModel, cache: ForwardCache, label: int) -> dict[st
 
     grads["head.weights"] = head_g.weights
     grads["head.bias"] = head_g.bias
-    return grads
-
-
-def predict(model: DualBranchModel, spectral: np.ndarray, coords: np.ndarray) -> int:
-    """1-based class id; ties break toward the lowest id."""
-    probs, _ = forward(model, spectral, coords, mode="inference")
-    return int(np.argmax(probs)) + 1
+    return loss, grads
 
 
 # The smallest working set a forward_many chunk is allowed.
@@ -329,8 +326,8 @@ def _chunk_rows(cfg: ModelConfig, input_bytes: int) -> int:
 def forward_many(
     model: DualBranchModel, features: np.ndarray, coords: np.ndarray
 ) -> np.ndarray:
-    """(n, K) inference-mode class distributions for stacked (n, B) and (n, 2)
-    inputs, one batched forward per chunk of rows (see _chunk_rows)."""
+    """(n, K) class distributions, without dropout, for stacked (n, B) and
+    (n, 2) inputs, one batched forward per chunk of rows (see _chunk_rows)."""
     features = np.asarray(features, dtype=np.float64)
     coords = np.asarray(coords, dtype=np.float64)
     if len(features) != len(coords):

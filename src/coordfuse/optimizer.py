@@ -14,9 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from coordfuse.layers import cross_entropy
 from coordfuse.model import DualBranchModel, backward, forward, param_views
-from coordfuse.numerics import create_rng
 
 logger = logging.getLogger(__name__)
 
@@ -33,7 +31,6 @@ class TrainConfig:
     epsilon: float = 1e-8
     batch_size: int = 64
     max_epochs: int = 500
-    seed: int = 0
 
     def validate(self) -> None:
         if not 0 < self.learning_rate < math.inf:
@@ -114,12 +111,12 @@ def train(
     coords: np.ndarray,
     labels: np.ndarray,
     cfg: TrainConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> TrainHistory:
     """Run Adam for exactly cfg.max_epochs epochs; no early stopping.
 
-    `rng` drives both the epoch shuffles and the dropout masks. When
-    omitted it is derived from cfg.seed. Labels are 1-based.
+    `rng` drives both the epoch shuffles and the dropout masks. Labels are
+    1-based.
     """
     cfg.validate()
     features = np.asarray(features, dtype=np.float64)
@@ -132,8 +129,6 @@ def train(
         raise ValueError("features, coords and labels row counts disagree")
     if labels.min() < 1 or labels.max() > model.config.num_classes:
         raise ValueError("labels must be 1-based class ids within the model's range")
-    if rng is None:
-        rng = create_rng(cfg.seed)
 
     params = model.parameters()
     state = AdamState.for_params(params)
@@ -150,10 +145,8 @@ def train(
             batch = order[start : start + cfg.batch_size]
             grad.fill(0.0)
             for i in batch:
-                probs, cache = forward(
-                    model, features[i], coords[i], mode="train", rng=rng
-                )
-                loss, _ = cross_entropy(probs, int(labels[i]) - 1)
+                probs, cache = forward(model, features[i], coords[i], rng)
+                loss, sample_grads = backward(model, cache, int(labels[i]))
                 if not np.isfinite(loss):
                     raise NumericalError(
                         f"non-finite loss at epoch {epoch + 1}, sample {i}"
@@ -161,7 +154,7 @@ def train(
                 epoch_loss += loss
                 if int(np.argmax(probs)) + 1 == labels[i]:
                     correct += 1
-                for name, g in backward(model, cache, int(labels[i])).items():
+                for name, g in sample_grads.items():
                     grads[name] += g
             grad /= len(batch)
             adam_step(params, grads, state, cfg)

@@ -38,8 +38,9 @@ from coordfuse.layers import (
     dense_forward,
     maxpool1d_backward,
     maxpool1d_forward,
+    softmax,
 )
-from coordfuse.model import ModelConfig, backward, build, forward, predict
+from coordfuse.model import ModelConfig, backward, build, forward, predict_many
 from coordfuse.numerics import create_rng
 from coordfuse.optimizer import TrainConfig, train
 
@@ -99,13 +100,13 @@ def _layer_fd_worst(seeds=10):
         worst = max(worst, norm_rel_err(fd_wrt(dloss, dense.bias), dg.bias))
         worst = max(worst, norm_rel_err(fd_wrt(dloss, v), dg.inputs))
 
-        smax = Dense(rng.normal(size=(6, 4)), np.zeros(4), "softmax")
+        smax = Dense(rng.normal(size=(6, 4)), np.zeros(4))  # the model's linear head
         sv = rng.normal(size=6)
         target = seed % 4
-        probs = dense_forward(smax, sv)
-        _, d_logits = cross_entropy(probs, target)
-        sg = dense_backward(smax, sv, probs, d_logits)
-        sloss = lambda: cross_entropy(dense_forward(smax, sv), target)[0]
+        logits = dense_forward(smax, sv)
+        _, d_logits = cross_entropy(softmax(logits), target)
+        sg = dense_backward(smax, sv, logits, d_logits)
+        sloss = lambda: cross_entropy(softmax(dense_forward(smax, sv)), target)[0]
         worst = max(worst, norm_rel_err(fd_wrt(sloss, smax.weights), sg.weights))
         worst = max(worst, norm_rel_err(fd_wrt(sloss, smax.bias), sg.bias))
         worst = max(worst, norm_rel_err(fd_wrt(sloss, sv), sg.inputs))
@@ -129,8 +130,8 @@ def _end_to_end_fd_worst(seeds=10):
             continue
         accepted += 1
         label = int(rng.integers(1, 4))
-        _, cache = forward(model, x, coords, mode="train")
-        grads = backward(model, cache, label)
+        _, cache = forward(model, x, coords)
+        _, grads = backward(model, cache, label)
 
         def loss():
             return cross_entropy(forward(model, x, coords)[0], label - 1)[0]
@@ -194,10 +195,8 @@ def _run_split_experiment(seed, max_epochs=100):
         rng = create_rng(s)
         model = build(ModelConfig(num_bands=30, num_classes=k, baseline=baseline), rng)
         train(model, train_set.features, train_set.coords, train_set.labels,
-              TrainConfig(max_epochs=max_epochs, seed=s), rng=rng)
-        preds = np.empty(len(test_set), dtype=np.int64)
-        for i in range(len(test_set)):
-            preds[i] = predict(model, test_set.features[i], test_set.coords[i])
+              TrainConfig(max_epochs=max_epochs), rng)
+        preds = predict_many(model, test_set.features, test_set.coords)
         oas[name] = metrics(confusion(preds, test_set.labels, num_classes=k)).oa
     return oas
 
@@ -242,10 +241,8 @@ def test_criterion_4_benchmark_reproduction(capsys):
         rng = create_rng(s)
         model = build(ModelConfig(num_bands=cube.bands, num_classes=k, baseline=baseline), rng)
         train(model, train_set.features, train_set.coords, train_set.labels,
-              TrainConfig(seed=s), rng=rng)
-        preds = np.empty(len(test_set), dtype=np.int64)
-        for i in range(len(test_set)):
-            preds[i] = predict(model, test_set.features[i], test_set.coords[i])
+              TrainConfig(), rng)
+        preds = predict_many(model, test_set.features, test_set.coords)
         results[name] = metrics(confusion(preds, test_set.labels, num_classes=k))
     elapsed = time.time() - t0
     gap = results["dual"].oa - results["baseline"].oa

@@ -198,6 +198,23 @@ def test_synth_outputs_are_deterministic(tmp_path):
     assert a_labels.read_bytes() == b_labels.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--height", "0"],
+        ["--classes", "1"],
+        ["--overlap", "1"],
+        ["--noise", "nan"],
+        ["--noise", "inf"],
+    ],
+)
+def test_synth_bad_arguments_exit_1(tmp_path, capsys, args):
+    cube = tmp_path / "c.hcube"
+    assert main(["synth", str(cube), str(tmp_path / "l.hlbl"), *args]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not cube.exists()
+
+
 def test_synth_emitted_config_is_loadable(tmp_path):
     cube, labels = tmp_path / "c.hcube", tmp_path / "l.hlbl"
     cfg_path = tmp_path / "cfg.json"

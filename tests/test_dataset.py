@@ -291,6 +291,7 @@ def test_from_csv_round_trips_through_binary(tmp_path):
         ("-1,0,1,0.5\n", "negative"),
         ("0,0,-2,0.5\n", "negative"),
         ("0,0,1,inf\n", "non-finite"),
+        ("0,0,1,1e39\n", "non-finite"),  # finite in float64, Inf in float32
         ("0,0,1,0.5\n0,0,2,0.6\n", "duplicate"),
         ("0,0,1,0.5\n0,1,1,0.5,0.6\n", "expected 1 band"),
     ],
@@ -300,6 +301,15 @@ def test_from_csv_rejects_malformed(tmp_path, row, message):
     path.write_text(row)
     with pytest.raises(CsvFormatError, match=message):
         from_csv(path)
+
+
+def test_from_csv_accepts_values_up_to_float32_max(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("0,0,1,3.4e38,-3.4e38\n")
+    cube, _ = from_csv(path)
+    out = tmp_path / "c.hcube"
+    save_cube(cube, out)
+    assert np.array_equal(load_cube(out).values[0, 0], np.float32([3.4e38, -3.4e38]))
 
 
 def test_from_csv_reports_line_numbers(tmp_path):

@@ -5,7 +5,6 @@ from checks import MARGIN, fd_wrt, norm_rel_err
 from coordfuse.layers import (
     Conv1d,
     Dense,
-    DropoutSpec,
     ShapeError,
     conv1d_backward,
     conv1d_forward,
@@ -226,9 +225,10 @@ def test_dense_validation():
     layer = Dense(np.ones((3, 2)), np.zeros(2))
     with pytest.raises(ShapeError):
         dense_forward(layer, np.ones(4))
-    bad = Dense(np.ones((3, 2)), np.zeros(2), "tanh")
-    with pytest.raises(ValueError):
-        dense_forward(bad, np.ones(3))
+    for activation in ("tanh", "softmax"):  # softmax is the model's, not a layer's
+        bad = Dense(np.ones((3, 2)), np.zeros(2), activation)
+        with pytest.raises(ValueError):
+            dense_forward(bad, np.ones(3))
 
 
 def draw_dense_case(seed, in_dim=7, out_dim=5, activation="relu"):
@@ -261,17 +261,17 @@ def test_dense_gradients_match_finite_differences(activation):
 
 
 def test_softmax_cross_entropy_gradients_match_finite_differences():
-    # The combined path: dense(softmax) feeding the negative log-likelihood.
+    # The model's head: a linear dense layer, softmax, negative log-likelihood.
     for seed in range(10):
-        layer, v = draw_dense_case(seed, activation="softmax")
+        layer, v = draw_dense_case(seed, activation="identity")
         target = seed % 5
 
         def loss():
-            return cross_entropy(dense_forward(layer, v), target)[0]
+            return cross_entropy(softmax(dense_forward(layer, v)), target)[0]
 
-        probs = dense_forward(layer, v)
-        _, d_logits = cross_entropy(probs, target)
-        grads = dense_backward(layer, v, probs, d_logits)
+        logits = dense_forward(layer, v)
+        _, d_logits = cross_entropy(softmax(logits), target)
+        grads = dense_backward(layer, v, logits, d_logits)
         assert norm_rel_err(fd_wrt(loss, layer.weights), grads.weights) < LAYER_TOL
         assert norm_rel_err(fd_wrt(loss, layer.bias), grads.bias) < LAYER_TOL
         assert norm_rel_err(fd_wrt(loss, v), grads.inputs) < LAYER_TOL
@@ -292,22 +292,26 @@ def test_relu():
 
 
 def test_dropout_inference_is_identity():
+    # No rng: nothing is drawn, whatever keep_prob says.
     v = create_rng(0).normal(size=20)
-    out, mask = dropout(DropoutSpec(0.5, "inference"), None, v)
+    out, mask = dropout(0.5, None, v)
     assert np.array_equal(out, v)
-    assert np.array_equal(mask, np.ones(20))
+    assert mask is None
 
 
 def test_dropout_keep_one_is_identity():
     v = create_rng(0).normal(size=20)
-    out, mask = dropout(DropoutSpec(1.0, "train"), None, v)
+    rng = create_rng(1)
+    out, mask = dropout(1.0, rng, v)
     assert np.array_equal(out, v)
-    assert np.array_equal(mask, np.ones(20))
+    assert mask is None
+    # Nothing to drop, so no draw is taken from the rng.
+    assert rng.random() == create_rng(1).random()
 
 
 def test_dropout_train_scales_survivors():
     v = np.ones(10000)
-    out, mask = dropout(DropoutSpec(0.75, "train"), create_rng(3), v)
+    out, mask = dropout(0.75, create_rng(3), v)
     assert set(np.unique(out)) <= {0.0, 1.0 / 0.75}
     assert np.array_equal(out, v * mask / 0.75)
     # Kept fraction concentrates near keep_prob; mean output near 1.
@@ -317,21 +321,17 @@ def test_dropout_train_scales_survivors():
 
 def test_dropout_seed_determinism():
     v = np.ones(50)
-    a, _ = dropout(DropoutSpec(0.5, "train"), create_rng(4), v)
-    b, _ = dropout(DropoutSpec(0.5, "train"), create_rng(4), v)
+    a, _ = dropout(0.5, create_rng(4), v)
+    b, _ = dropout(0.5, create_rng(4), v)
     assert np.array_equal(a, b)
 
 
 def test_dropout_validation():
     v = np.ones(5)
     with pytest.raises(ValueError):
-        dropout(DropoutSpec(0.5, "train"), None, v)
+        dropout(0.0, create_rng(0), v)
     with pytest.raises(ValueError):
-        dropout(DropoutSpec(0.0, "train"), create_rng(0), v)
-    with pytest.raises(ValueError):
-        dropout(DropoutSpec(1.5, "train"), create_rng(0), v)
-    with pytest.raises(ValueError):
-        dropout(DropoutSpec(0.5, "test"), create_rng(0), v)
+        dropout(1.5, create_rng(0), v)
 
 
 def test_cross_entropy_values_and_gradient():
@@ -388,7 +388,7 @@ def test_pool_stack_matches_per_sample_with_ties(width, stride, length):
         )
 
 
-@pytest.mark.parametrize("activation", ["relu", "identity", "softmax"])
+@pytest.mark.parametrize("activation", ["relu", "identity"])
 def test_dense_stack_matches_per_sample(activation):
     rng = create_rng(13)
     layer = Dense(rng.normal(size=(7, 5)), rng.normal(size=5), activation)
@@ -410,19 +410,19 @@ def test_softmax_stack_normalizes_each_row():
 
 def test_dropout_stack_draws_match_per_sample_draws():
     v = create_rng(15).normal(size=(6, 20))
-    out, mask = dropout(DropoutSpec(0.6, "train"), create_rng(16), v)
+    out, mask = dropout(0.6, create_rng(16), v)
     rng = create_rng(16)
     for i in range(6):
-        single_out, single_mask = dropout(DropoutSpec(0.6, "train"), rng, v[i])
+        single_out, single_mask = dropout(0.6, rng, v[i])
         assert np.array_equal(mask[i], single_mask)
         assert np.array_equal(out[i], single_out)
 
 
-def test_dropout_inference_mask_is_per_feature():
+def test_dropout_inference_passes_stack_through():
     v = create_rng(17).normal(size=(6, 20))
-    out, mask = dropout(DropoutSpec(0.5, "inference"), None, v)
+    out, mask = dropout(0.5, None, v)
     assert np.array_equal(out, v)
-    assert np.array_equal(mask, np.ones(20))
+    assert mask is None
 
 
 def test_stacked_forward_input_validation():

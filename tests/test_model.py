@@ -18,7 +18,6 @@ from coordfuse.model import (
     forward_many,
     load_checkpoint,
     param_shapes,
-    predict,
     predict_many,
     save_checkpoint,
 )
@@ -122,14 +121,6 @@ def test_forward_validation():
         forward(model, np.ones(15), np.zeros(2))
     with pytest.raises(ShapeError):
         forward(model, np.ones(16), np.zeros(3))
-    with pytest.raises(ValueError):
-        forward(model, np.ones(16), np.zeros(2), mode="eval")
-
-
-def test_train_mode_dropout_needs_rng():
-    model = small_model(keep_prob=0.5)
-    with pytest.raises(ValueError):
-        forward(model, np.ones(16), np.zeros(2), mode="train")
 
 
 def test_baseline_ignores_coordinates():
@@ -148,16 +139,9 @@ def test_dual_branch_uses_coordinates():
     assert not np.array_equal(p1, p2)
 
 
-def test_backward_requires_train_cache():
-    model = small_model()
-    _, cache = forward(model, np.ones(16), np.zeros(2))
-    with pytest.raises(ValueError, match="train"):
-        backward(model, cache, 1)
-
-
 def test_backward_label_range():
     model = small_model()
-    _, cache = forward(model, np.ones(16), np.zeros(2), mode="train")
+    _, cache = forward(model, np.ones(16), np.zeros(2))
     for bad in (0, 4):
         with pytest.raises(ValueError):
             backward(model, cache, bad)
@@ -166,17 +150,17 @@ def test_backward_label_range():
 def test_backward_keys_match_parameters():
     for baseline in (False, True):
         model = small_model(baseline=baseline)
-        _, cache = forward(model, np.ones(16), np.full(2, 0.5), mode="train")
-        grads = backward(model, cache, 2)
+        _, cache = forward(model, np.ones(16), np.full(2, 0.5))
+        _, grads = backward(model, cache, 2)
         assert list(grads) == list(model.parameters())
         for name, g in grads.items():
             assert g.shape == model.parameters()[name].shape, name
 
 
-def _kink_free_case(seed, baseline):
+def _kink_free_case(seed, baseline, keep_prob=1.0):
     for attempt in range(200):
         rng = create_rng(seed + 10_000 * attempt)
-        cfg = ModelConfig(keep_prob=1.0, baseline=baseline, **SMALL)
+        cfg = ModelConfig(keep_prob=keep_prob, baseline=baseline, **SMALL)
         model = build(cfg, rng)
         x = rng.random(cfg.num_bands)
         coords = rng.random(2)
@@ -190,8 +174,8 @@ def _kink_free_case(seed, baseline):
 def test_end_to_end_gradients_match_finite_differences(baseline):
     for seed in range(10):
         model, x, coords, label = _kink_free_case(seed, baseline)
-        _, cache = forward(model, x, coords, mode="train")
-        grads = backward(model, cache, label)
+        _, cache = forward(model, x, coords)
+        _, grads = backward(model, cache, label)
 
         def loss():
             probs, _ = forward(model, x, coords)
@@ -202,12 +186,31 @@ def test_end_to_end_gradients_match_finite_differences(baseline):
             assert norm_rel_err(fd, grads[name]) < E2E_TOL, f"{name} seed {seed}"
 
 
+def test_backward_without_rng_matches_finite_differences():
+    # keep_prob < 1 but no rng: the forward applies no dropout, so backward
+    # must not undo any dropout scaling.
+    for baseline in (False, True):
+        for seed in range(3):
+            model, x, coords, label = _kink_free_case(seed, baseline, keep_prob=0.5)
+            probs, cache = forward(model, x, coords)
+            loss, grads = backward(model, cache, label)
+            assert cache.drop_mask is None
+            assert loss == cross_entropy(probs, label - 1)[0]
+
+            def loss_fn():
+                return cross_entropy(forward(model, x, coords)[0], label - 1)[0]
+
+            for name, param in model.parameters().items():
+                fd = fd_wrt(loss_fn, param)
+                assert norm_rel_err(fd, grads[name]) < E2E_TOL, f"{name} seed {seed}"
+
+
 def test_dropout_mask_gates_spectral_gradient():
     model = small_model(keep_prob=0.5)
     rng = create_rng(12)
     x, coords = rng.random(16), rng.random(2)
-    _, cache = forward(model, x, coords, mode="train", rng=rng)
-    grads = backward(model, cache, 1)
+    _, cache = forward(model, x, coords, rng)
+    _, grads = backward(model, cache, 1)
     dead = cache.drop_mask == 0.0
     assert dead.any()
     # dropped fc units pass no gradient to their bias
@@ -224,7 +227,8 @@ def test_predict_and_predict_many_agree():
     many = predict_many(model, feats, coords)
     assert many.shape == (8,)
     for i in range(8):
-        assert many[i] == predict(model, feats[i], coords[i])
+        probs, _ = forward(model, feats[i], coords[i])
+        assert many[i] == np.argmax(probs) + 1
     assert set(many) <= {1, 2, 3}
     with pytest.raises(ShapeError):
         predict_many(model, feats, coords[:4])
@@ -244,7 +248,7 @@ def test_checkpoint_round_trip(tmp_path, baseline):
         assert np.array_equal(a, b)
     x = create_rng(0).random(16)
     c = np.array([0.25, 0.5])
-    assert predict(model, x, c) == predict(loaded, x, c)
+    assert np.array_equal(forward(model, x, c)[0], forward(loaded, x, c)[0])
 
 
 def test_checkpoint_file_layout(tmp_path):
@@ -374,7 +378,7 @@ def test_forward_stack_matches_single_pixel_forwards(baseline):
     coords = rng.random((9, 2))
     probs, cache = forward(model, feats, coords)
     assert probs.shape == (9, 3)
-    assert cache.drop_mask.shape == (10,)  # one inference mask for every row
+    assert cache.drop_mask is None  # no rng, no dropout mask
     for i in range(9):
         single, _ = forward(model, feats[i], coords[i])
         assert np.allclose(probs[i], single, rtol=STACK_RTOL, atol=STACK_ATOL)

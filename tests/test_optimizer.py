@@ -1,9 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from coordfuse.layers import cross_entropy
 from coordfuse.model import ModelConfig, backward, build, forward
 from coordfuse.numerics import create_rng
 from coordfuse.optimizer import (
@@ -128,8 +128,8 @@ def test_train_learns_separable_problem():
                     dense_width=8, coord_hidden=6),
         create_rng(0),
     )
-    cfg = TrainConfig(max_epochs=80, batch_size=16, seed=0)
-    history = train(model, feats, coords, labels, cfg)
+    cfg = TrainConfig(max_epochs=80, batch_size=16)
+    history = train(model, feats, coords, labels, cfg, create_rng(0))
     assert len(history.loss) == 80
     assert len(history.train_acc) == 80
     assert history.loss[-1] < history.loss[0] * 0.5
@@ -143,7 +143,7 @@ def test_train_runs_exactly_max_epochs_with_no_early_stop():
                     dense_width=4, coord_hidden=4),
         create_rng(0),
     )
-    history = train(model, feats, coords, labels, TrainConfig(max_epochs=7, seed=1))
+    history = train(model, feats, coords, labels, TrainConfig(max_epochs=7), create_rng(1))
     assert len(history.loss) == 7
 
 
@@ -157,7 +157,7 @@ def test_train_is_seed_deterministic():
             create_rng(3),
         )
         hist = train(model, feats, coords, labels,
-                     TrainConfig(max_epochs=5, batch_size=8, seed=train_seed))
+                     TrainConfig(max_epochs=5, batch_size=8), create_rng(train_seed))
         return model, hist
 
     m1, h1 = run(11)
@@ -176,11 +176,11 @@ def test_train_matches_manual_loop():
     n = len(labels)
     mcfg = ModelConfig(num_bands=12, num_classes=2, conv_filters=2, kernel_len=5,
                        dense_width=4, coord_hidden=4, keep_prob=1.0)
-    tcfg = TrainConfig(max_epochs=3, batch_size=6, seed=21)
+    tcfg = TrainConfig(max_epochs=3, batch_size=6)
 
     rng = create_rng(21)
     model = build(mcfg, rng)
-    train(model, feats, coords, labels, tcfg, rng=rng)
+    train(model, feats, coords, labels, tcfg, rng)
 
     rng2 = create_rng(21)
     ref = build(mcfg, rng2)
@@ -192,8 +192,9 @@ def test_train_matches_manual_loop():
             batch = order[start : start + tcfg.batch_size]
             acc = {k: np.zeros_like(p) for k, p in params.items()}
             for i in batch:
-                _, cache = forward(ref, feats[i], coords[i], mode="train", rng=rng2)
-                for name, g in backward(ref, cache, int(labels[i])).items():
+                _, cache = forward(ref, feats[i], coords[i], rng2)
+                _, grads = backward(ref, cache, int(labels[i]))
+                for name, g in grads.items():
                     acc[name] += g
             for name in acc:
                 acc[name] /= len(batch)
@@ -201,6 +202,33 @@ def test_train_matches_manual_loop():
 
     for a, b in zip(model.parameters().values(), ref.parameters().values()):
         assert np.array_equal(a, b)
+
+
+# sha256 of theta, then the per-epoch loss and train_acc as float64 bytes,
+# after build and train share create_rng(21) on _toy_problem(n_per_class=8):
+# pins the dropout draws, the loss, the gradients and Adam bit for bit.
+TRAINING_SHA256 = {
+    False: "17f5d066868e3838b3f6b87619b8e0227bc1303f871bc31bb3eb46ea19458173",
+    True: "f4ae6702817d41eeb2f8d3196d89ed177323fc5726d021956e4a4bab2c05edad",
+}
+
+
+@pytest.mark.parametrize("baseline", [False, True], ids=["dual", "baseline"])
+def test_training_is_pinned(baseline):
+    feats, coords, labels = _toy_problem(n_per_class=8)
+    rng = create_rng(21)
+    model = build(
+        ModelConfig(num_bands=12, num_classes=2, conv_filters=2, kernel_len=5,
+                    dense_width=4, coord_hidden=4, keep_prob=0.75, baseline=baseline),
+        rng,
+    )
+    history = train(model, feats, coords, labels,
+                    TrainConfig(max_epochs=5, batch_size=6), rng)
+    blob = b"".join(
+        np.asarray(a, dtype=np.float64).tobytes()
+        for a in (model.theta, history.loss, history.train_acc)
+    )
+    assert hashlib.sha256(blob).hexdigest() == TRAINING_SHA256[baseline]
 
 
 def test_train_input_validation():
@@ -211,11 +239,11 @@ def test_train_input_validation():
     )
     feats, coords, labels = _toy_problem(n_per_class=4)
     with pytest.raises(ValueError):
-        train(model, feats[:0], coords[:0], labels[:0], TrainConfig(max_epochs=1))
+        train(model, feats[:0], coords[:0], labels[:0], TrainConfig(max_epochs=1), create_rng(0))
     with pytest.raises(ValueError):
-        train(model, feats, coords[:3], labels, TrainConfig(max_epochs=1))
+        train(model, feats, coords[:3], labels, TrainConfig(max_epochs=1), create_rng(0))
     with pytest.raises(ValueError):
-        train(model, feats, coords, labels + 5, TrainConfig(max_epochs=1))
+        train(model, feats, coords, labels + 5, TrainConfig(max_epochs=1), create_rng(0))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -230,7 +258,7 @@ def test_train_raises_numerical_error_on_nonfinite_loss():
     model.fc.weights[0, 0] = np.inf
     model.fc.weights[1, 0] = -np.inf
     with pytest.raises(NumericalError):
-        train(model, feats, coords, labels, TrainConfig(max_epochs=1, seed=0))
+        train(model, feats, coords, labels, TrainConfig(max_epochs=1), create_rng(0))
 
 
 def test_history_to_csv(tmp_path):
