@@ -202,6 +202,15 @@ def cmd_synth(args) -> int:
             overlap=args.overlap,
             coordinate_separable=args.coordinate_separable,
         )
+        if args.emit_config:
+            cfg = ExperimentConfig(cube=args.cube, labels=args.labels, seed=args.seed)
+            cfg.appearance_bands = [b for b in cfg.appearance_bands if b < cube.bands]
+            # Shrink the kernel when the cube is too narrow for the default.
+            max_kernel = cube.bands - cfg.model["pool_width"] + 1
+            cfg.model["kernel_len"] = max(1, min(cfg.model["kernel_len"], max_kernel))
+            # Run's own checks, so no file is written for a config run rejects.
+            cfg.model_config(cube.bands, labels.num_classes, False).validate()
+            stratified_split(labels, SplitSpec(cfg.fraction, cfg.seed, cfg.min_per_class))
     except ValueError as exc:  # every one is a bad argument
         raise UsageError(str(exc)) from exc
     save_cube(cube, args.cube)
@@ -211,14 +220,8 @@ def cmd_synth(args) -> int:
         f"with {labels.num_classes} classes"
     )
     if args.emit_config:
-        config = asdict(ExperimentConfig(cube=args.cube, labels=args.labels, seed=args.seed))
-        config["appearance_bands"] = [b for b in config["appearance_bands"] if b < cube.bands]
-        # Shrink the kernel when the cube is too narrow for the default.
-        model_keys = config["model"]
-        max_kernel = cube.bands - model_keys["pool_width"] + 1
-        model_keys["kernel_len"] = max(1, min(model_keys["kernel_len"], max_kernel))
         with open(args.emit_config, "w", newline="") as f:
-            json.dump(config, f, indent=2, sort_keys=True)
+            json.dump(asdict(cfg), f, indent=2, sort_keys=True)
             f.write("\n")
         print(f"wrote config to {args.emit_config}")
     return EXIT_OK

@@ -140,8 +140,9 @@ class SplitSpec:
     """Per-class training fraction plus the seed that drives the shuffle.
 
     The training count for a class of n pixels is
-    ``clamp(ceil(fraction * n), min_per_class, n - 1)``; the test set is the
-    remaining labeled pixels of the class.
+    ``clamp(ceil(fraction * n), min_per_class, n - 1)``, with `fraction`
+    taken as the exact decimal it prints as (0.05 is 1/20); the test set is
+    the remaining labeled pixels of the class.
     """
 
     fraction: float
@@ -151,9 +152,9 @@ class SplitSpec:
     def train_count(self, class_total: int) -> int:
         if not 0.0 < self.fraction < 1.0:
             raise ValueError(f"fraction must be in (0, 1), got {self.fraction}")
-        # Exact rational ceil; float rounding must not flip counts like
-        # ceil(0.05 * 1000) to 51.
-        frac = Fraction(self.fraction).limit_denominator(10**6)
+        # Exact rational ceil of the printed decimal; float rounding must not
+        # flip counts like ceil(0.05 * 1000) to 51.
+        frac = Fraction(repr(float(self.fraction)))
         raw = -(-frac.numerator * class_total // frac.denominator)
         return min(max(raw, self.min_per_class), class_total - 1)
 
@@ -315,19 +316,16 @@ def coord_features(
     return np.stack([r, c], axis=-1)
 
 
-def stratified_split(
-    labels: LabelMap, spec: SplitSpec, rng: np.random.Generator | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def stratified_split(labels: LabelMap, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
     """Per-class random split of labeled pixels into train and test indices.
 
     Returns (train, test) as (n, 2) arrays of (row, col) pairs. Every class
     1..num_classes contributes exactly ``spec.train_count`` pixels to train
-    and the rest to test, shuffled by `rng` (or a fresh generator seeded with
-    ``spec.seed`` when `rng` is omitted). Class ids must be contiguous: an id
-    below the largest one with no pixels is an error.
+    and the rest to test, shuffled by a generator seeded with ``spec.seed``.
+    Class ids must be contiguous: an id below the largest one with no pixels
+    is an error.
     """
-    if rng is None:
-        rng = create_rng(spec.seed)
+    rng = create_rng(spec.seed)
     n_classes = labels.num_classes
     if n_classes < 1:
         raise ValueError("label map contains no labeled pixels")

@@ -21,25 +21,21 @@ import numpy as np
 from coordfuse.layers import PROB_FLOOR, ShapeError
 
 
-def confusion(preds, truth, num_classes: int | None = None) -> np.ndarray:
-    """K x K count matrix, rows indexed by truth, columns by prediction.
-
-    Labels are 1-based; pass num_classes when the arrays may not cover
-    every class.
-    """
+def confusion(preds, truth, num_classes: int) -> np.ndarray:
+    """num_classes x num_classes count matrix, rows indexed by truth, columns
+    by prediction. Labels are 1-based."""
     preds = np.asarray(preds, dtype=np.int64).reshape(-1)
     truth = np.asarray(truth, dtype=np.int64).reshape(-1)
     if preds.shape != truth.shape:
         raise ShapeError(f"{len(preds)} predictions vs {len(truth)} truth labels")
     if len(preds) == 0:
         raise ValueError("no samples to tally")
-    k = num_classes if num_classes is not None else int(max(preds.max(), truth.max()))
-    if k < 1:
-        raise ValueError(f"num_classes must be positive, got {k}")
+    if num_classes < 1:
+        raise ValueError(f"num_classes must be positive, got {num_classes}")
     for name, arr in (("preds", preds), ("truth", truth)):
-        if arr.min() < 1 or arr.max() > k:
-            raise ValueError(f"{name} outside 1..{k}")
-    cm = np.zeros((k, k), dtype=np.int64)
+        if arr.min() < 1 or arr.max() > num_classes:
+            raise ValueError(f"{name} outside 1..{num_classes}")
+    cm = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(cm, (truth - 1, preds - 1), 1)
     return cm
 
@@ -90,8 +86,9 @@ def metrics(cm: np.ndarray) -> EvalReport:
     )
 
 
-def write_report(report: EvalReport, path, train_counts=None) -> None:
-    """Emit report.json with fixed key order and fixed float formatting.
+def write_report(report: EvalReport, path, train_counts) -> None:
+    """Emit report.json with fixed key order and fixed float formatting;
+    `train_counts` holds the training samples per class.
 
     The byte-for-byte stable output is what makes rerun comparisons exact.
     """
@@ -102,10 +99,7 @@ def write_report(report: EvalReport, path, train_counts=None) -> None:
     parts.append(
         '"per_class":[%s]' % ",".join(f"{v:.6f}" for v in report.per_class)
     )
-    if train_counts is not None:
-        parts.append(
-            '"train_counts":[%s]' % ",".join(str(int(c)) for c in train_counts)
-        )
+    parts.append('"train_counts":[%s]' % ",".join(str(int(c)) for c in train_counts))
     with open(path, "w", newline="") as f:
         f.write("{" + ",".join(parts) + "}\n")
 

@@ -6,10 +6,11 @@ convolution output is (n_filters, length) or (n, n_filters, length), dense
 layers map (in_dim,) or (n, in_dim) to (out_dim,) or (n, out_dim). A sample
 without the batch axis runs the same code, so its result does not depend on
 whether it is stacked. Backward passes work per sample. Each returns parameter
-gradients plus the gradient with respect to the layer input, and is validated
-against central finite differences in the test suite. Max pooling keeps no
-argmax: its forward returns only the window maxima, and its backward finds
-the earliest column holding each maximum from the maps and the maxima.
+gradients plus the gradient with respect to the layer input (the conv, the
+first layer, returns only its parameter gradients), and is validated against
+central finite differences in the test suite. Max pooling keeps no argmax:
+its forward returns only the window maxima, and its backward finds the
+earliest column holding each maximum from the maps and the maxima.
 """
 
 from __future__ import annotations
@@ -89,10 +90,12 @@ def conv1d_forward(layer: Conv1d, x: np.ndarray) -> np.ndarray:
 
 def conv1d_backward(
     layer: Conv1d, x: np.ndarray, out: np.ndarray, grad_out: np.ndarray
-) -> LayerGrads:
-    """Gradients of a scalar loss through the ReLU convolution.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(d_weights, d_bias) of a scalar loss through the ReLU convolution.
 
-    `out` is the forward result for `x`; its sign carries the ReLU mask.
+    `out` is the forward result for `x`; its sign carries the ReLU mask. The
+    conv is the model's first layer and nothing before it learns, so the
+    gradient with respect to `x` is not computed.
     """
     x = np.asarray(x, dtype=np.float64)
     n_filters, kernel_len = layer.weights.shape
@@ -103,14 +106,7 @@ def conv1d_backward(
             f"got out {out.shape} and grad {grad_out.shape}"
         )
     g = np.where(out > 0.0, grad_out, 0.0)  # (F, L)
-    windows = sliding_window_view(x, kernel_len)  # (L, K)
-    d_weights = g @ windows
-    d_bias = g.sum(axis=1)
-    spread = g.T @ layer.weights  # (L, K), contribution of each tap
-    d_x = np.zeros_like(x)
-    for k in range(kernel_len):
-        d_x[k : k + length] += spread[:, k]
-    return LayerGrads(d_weights, d_bias, d_x)
+    return g @ sliding_window_view(x, kernel_len), g.sum(axis=1)
 
 
 def maxpool1d_forward(x: np.ndarray, width: int = 2, stride: int = 2) -> np.ndarray:

@@ -115,9 +115,6 @@ class DualBranchModel:
         """Views of `theta` by name, in the fixed checkpoint order."""
         return param_views(self.config, self.theta)
 
-    def num_parameters(self) -> int:
-        return self.theta.size
-
 
 @dataclass
 class ForwardCache:
@@ -282,9 +279,9 @@ def backward(
     pooled = cache.flat.reshape(cfg.conv_filters, cfg.pooled_len)
     d_pooled = fc_g.inputs.reshape(pooled.shape)
     d_conv = maxpool1d_backward(cache.conv_out, pooled, d_pooled, cfg.pool_width, cfg.pool_stride)
-    conv_g = conv1d_backward(model.conv, cache.spectral, cache.conv_out, d_conv)
-    grads["conv.weights"] = conv_g.weights
-    grads["conv.bias"] = conv_g.bias
+    grads["conv.weights"], grads["conv.bias"] = conv1d_backward(
+        model.conv, cache.spectral, cache.conv_out, d_conv
+    )
     grads["fc.weights"] = fc_g.weights
     grads["fc.bias"] = fc_g.bias
 

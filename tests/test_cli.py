@@ -229,6 +229,34 @@ def test_synth_emitted_config_is_loadable(tmp_path):
     assert load_cube(cube).bands == 8
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--height", "8", "--width", "8", "--bands", "1"], "1 bands leave a 1-wide"),
+        (["--height", "2", "--width", "2", "--bands", "30"], "need at least 3"),
+    ],
+)
+def test_synth_config_that_run_rejects_exits_1(tmp_path, capsys, args, message):
+    paths = [tmp_path / "c.hcube", tmp_path / "l.hlbl", tmp_path / "cfg.json"]
+    argv = ["synth", str(paths[0]), str(paths[1]), *args, "--classes", "2"]
+    assert main([*argv, "--emit-config", str(paths[2])]) == 1
+    assert message in capsys.readouterr().err
+    assert not any(p.exists() for p in paths)
+
+
+def test_synth_two_band_config_runs(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    rc = main(
+        ["synth", str(tmp_path / "c.hcube"), str(tmp_path / "l.hlbl"), "--height", "8",
+         "--width", "8", "--bands", "2", "--classes", "2", "--emit-config", str(cfg_path)]
+    )
+    assert rc == 0
+    cfg = json.loads(cfg_path.read_text())
+    cfg["train"]["max_epochs"] = 1
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 0
+
+
 def test_run_writes_all_artifacts(tiny_experiment):
     out = tiny_experiment["out"]
     for prefix in ("", "baseline_"):

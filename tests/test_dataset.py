@@ -134,6 +134,24 @@ def test_train_count_is_exact_ceiling():
     assert SplitSpec(fraction=0.1).train_count(30) == 3
 
 
+@pytest.mark.parametrize(
+    "fraction, num, den",
+    [(0.05, 5, 100), (0.07, 7, 100), (0.33333, 33333, 10**5),
+     (0.0500001, 500001, 10**7), (0.1234567, 1234567, 10**7)],
+)
+def test_train_count_is_ceiling_of_exact_decimal(fraction, num, den):
+    spec = SplitSpec(fraction=fraction, min_per_class=0)
+    for n in [*range(2, 2001), *range(2001, 200001, 13)]:
+        assert spec.train_count(n) == min(-(-num * n // den), n - 1), n
+
+
+def test_train_count_tiny_fraction_rounds_up():
+    # ceil(1e-7 * n) is 1 up to n = 10**7; a rational approximation with a
+    # bounded denominator would round 1e-7 itself to 0.
+    spec = SplitSpec(fraction=1e-7, min_per_class=0)
+    assert [spec.train_count(n) for n in (2, 1000, 10**7, 10**7 + 1)] == [1, 1, 1, 2]
+
+
 def test_train_count_clamps():
     spec = SplitSpec(fraction=0.05, min_per_class=2)
     assert spec.train_count(20) == 2  # ceil(1.0) = 1, lifted to the floor

@@ -25,8 +25,15 @@ def naive_confusion(preds, truth, k):
 
 def test_confusion_perfect_is_diagonal():
     labels = np.array([1, 2, 2, 3, 1])
-    cm = confusion(labels, labels)
+    cm = confusion(labels, labels, num_classes=3)
     assert np.array_equal(cm, np.diag([2, 2, 1]))
+
+
+def test_confusion_covers_classes_missing_from_the_data():
+    cm = confusion(np.array([1, 2]), np.array([1, 1]), num_classes=3)
+    assert np.array_equal(cm, [[1, 1, 0], [0, 0, 0], [0, 0, 0]])
+    with pytest.raises(TypeError):
+        confusion(np.array([1, 2]), np.array([1, 1]))
 
 
 def test_confusion_single_error():
@@ -47,9 +54,9 @@ def test_confusion_matches_naive_tally():
 
 def test_confusion_validation():
     with pytest.raises(ShapeError):
-        confusion(np.array([1, 2]), np.array([1]))
+        confusion(np.array([1, 2]), np.array([1]), num_classes=2)
     with pytest.raises(ValueError):
-        confusion(np.array([]), np.array([]))
+        confusion(np.array([]), np.array([]), num_classes=2)
     with pytest.raises(ValueError):
         confusion(np.array([3]), np.array([1]), num_classes=2)
     with pytest.raises(ValueError):
@@ -134,13 +141,6 @@ def test_write_report_bytes_are_stable(tmp_path):
 
     parsed = json.loads(path.read_text())
     assert parsed["oa"] == 0.7
-
-
-def test_write_report_without_train_counts(tmp_path):
-    rep = metrics(np.diag([2, 2]))
-    path = tmp_path / "report.json"
-    write_report(rep, path)
-    assert "train_counts" not in path.read_text()
 
 
 def test_default_palette():

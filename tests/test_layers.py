@@ -85,10 +85,9 @@ def test_conv_gradients_match_finite_differences():
             return float((conv1d_forward(layer, x) * proj).sum())
 
         out = conv1d_forward(layer, x)
-        grads = conv1d_backward(layer, x, out, proj)
-        assert norm_rel_err(fd_wrt(loss, layer.weights), grads.weights) < LAYER_TOL
-        assert norm_rel_err(fd_wrt(loss, layer.bias), grads.bias) < LAYER_TOL
-        assert norm_rel_err(fd_wrt(loss, x), grads.inputs) < LAYER_TOL
+        d_weights, d_bias = conv1d_backward(layer, x, out, proj)
+        assert norm_rel_err(fd_wrt(loss, layer.weights), d_weights) < LAYER_TOL
+        assert norm_rel_err(fd_wrt(loss, layer.bias), d_bias) < LAYER_TOL
 
 
 def test_conv_backward_shape_validation():

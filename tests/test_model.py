@@ -17,6 +17,7 @@ from coordfuse.model import (
     forward,
     forward_many,
     load_checkpoint,
+    param_count,
     param_shapes,
     predict_many,
     save_checkpoint,
@@ -56,7 +57,7 @@ def test_published_architecture_parameter_count():
     # conv (20x10+20) + fc (2100x100+100) + coord (2x256+256, 256x100+100)
     # + head (100x16+16)
     model = build(ModelConfig(num_bands=220, num_classes=16), create_rng(0))
-    assert model.num_parameters() == 238404
+    assert model.theta.size == 238404
 
 
 def test_config_validation():
@@ -262,7 +263,7 @@ def test_checkpoint_file_layout(tmp_path):
     cfg = blob[12 : 12 + cfg_len]
     assert cfg.startswith(b'{"baseline":false')
     n_param_bytes = len(blob) - 12 - cfg_len
-    assert n_param_bytes == model.num_parameters() * 8
+    assert n_param_bytes == model.theta.size * 8
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
@@ -338,7 +339,7 @@ def test_parameters_are_views_of_theta(tmp_path, baseline, source):
         model = load_checkpoint(tmp_path / "m.ckpt")
     theta = model.theta
     assert theta.dtype == np.float64 and theta.ndim == 1 and theta.flags.writeable
-    assert model.num_parameters() == theta.size
+    assert theta.size == param_count(model.config)
     params = model.parameters()
     layers = [model.conv, model.fc, model.head]
     if not baseline:
