@@ -250,7 +250,6 @@ def cmd_run(args) -> int:
     spec = SplitSpec(fraction=cfg.fraction, seed=cfg.seed, min_per_class=cfg.min_per_class)
     train_idx, test_idx = stratified_split(labels, spec)
     train_set = extract_samples(cube, labels, train_idx)
-    test_set = extract_samples(cube, labels, test_idx)
     train_counts = np.bincount(train_set.labels, minlength=k + 1)[1:]
     h, w = cube.height, cube.width
     raster_features = cube.values.reshape(h * w, cube.bands)
@@ -274,8 +273,11 @@ def cmd_run(args) -> int:
             cfg.train_config(),
             rng,
         )
+        # Gathered after training, so neither training holds the test block.
+        test_set = extract_samples(cube, labels, test_idx)
         preds = predict_many(model, test_set.features, test_set.coords)
         report = metrics(confusion(preds, test_set.labels, num_classes=k))
+        del test_set
         write_report(
             report,
             os.path.join(cfg.out_dir, prefix + "report.json"),

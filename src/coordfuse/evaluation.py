@@ -7,18 +7,24 @@ marginals so values that are exact rationals (e.g. 0.4) come out exact.
 `dense_energy` scores a labeling under a fully connected pairwise model with
 a Gaussian appearance kernel plus a Gaussian smoothness kernel and Potts
 compatibility. It is a diagnostic for comparing two classification maps, not
-an inference routine: the O(N^2) brute force is intended for small crops.
+an inference routine: the sum over all pixel pairs is exact and O(N^2), meant
+for small crops. It runs in blocks of query pixels with one `exp` per pair
+and a working memory of a few 256 KiB blocks, whatever the crop's shape.
 """
 
 from __future__ import annotations
 
 import colorsys
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from coordfuse.layers import PROB_FLOOR, ShapeError
+
+# Bytes of one (query block x N) float64 array in `dense_energy`.
+_BLOCK_BYTES = 256 * 1024
 
 
 def confusion(preds, truth, num_classes: int) -> np.ndarray:
@@ -158,9 +164,15 @@ class CrfParams:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("theta_alpha", "theta_beta", "theta_gamma"):
-            if not 0 < getattr(self, name) < math.inf:
+            theta = getattr(self, name)
+            if not 0 < theta < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {theta}")
+            # The kernels divide by 2 theta^2, which must neither overflow
+            # nor underflow: 0/0 would make a kernel NaN.
+            if not sys.float_info.min <= 2.0 * theta * theta < math.inf:
                 raise ValueError(
-                    f"{name} must be positive and finite, got {getattr(self, name)}"
+                    f"{name} = {theta} is out of range: 2*{name}**2 overflows "
+                    "or underflows float64"
                 )
 
 
@@ -179,6 +191,13 @@ def dense_energy(
       + w2 * exp(-|p_i - p_j|^2 / (2 theta_gamma^2))
     with p the raw (row, col) pixel position and I the caller-supplied
     appearance vector. Same-label pairs contribute nothing.
+
+    The sum is exact and O(N^2) in the N pixels, taken over blocks of query
+    pixels against every pixel. The positional factors split into row and
+    column parts, exp(-|dr|^2 / 2 theta^2) * exp(-|dc|^2 / 2 theta^2), read
+    from tables of length H and W, so the appearance factor is the only
+    `exp` per pair. The working memory is a few block-sized arrays, never an
+    N x N, H x H or W x W table.
     """
     params.validate()
     labeling = np.asarray(labeling, dtype=np.int64)
@@ -196,22 +215,60 @@ def dense_energy(
         raise ValueError(f"labels outside 1..{k}")
 
     n = h * w
-    labels = labeling.reshape(n)
-    probs = probmap.reshape(n, k)
-    feats = appearance.reshape(n, -1)
-    r, c = np.divmod(np.arange(n), w)
-    pos = np.stack([r, c], axis=1).astype(np.float64)
-
-    chosen = probs[np.arange(n), labels - 1]
+    labels = labeling.reshape(n) - 1
+    chosen = probmap.reshape(n, k)[np.arange(n), labels]
     energy = float(-np.log(np.clip(chosen, PROB_FLOOR, None)).sum())
 
-    two_a2 = 2.0 * params.theta_alpha**2
-    two_b2 = 2.0 * params.theta_beta**2
-    two_g2 = 2.0 * params.theta_gamma**2
-    for i in range(n):
-        d_pos = ((pos - pos[i]) ** 2).sum(axis=1)
-        d_app = ((feats - feats[i]) ** 2).sum(axis=1)
-        kernel = params.w1 * np.exp(-d_pos / two_a2 - d_app / two_b2)
-        kernel += params.w2 * np.exp(-d_pos / two_g2)
-        energy += float(kernel[labels != labels[i]].sum())
-    return energy
+    bands = np.ascontiguousarray(appearance.reshape(n, -1).T)  # band-major
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), labels] = 1.0
+    # Positional factors, w1 folded into the row tables of theta_alpha and
+    # w2 into those of theta_gamma.
+    a_rows = _offset_kernel(h, params.theta_alpha, params.w1)
+    a_cols = _offset_kernel(w, params.theta_alpha, 1.0)
+    g_rows = _offset_kernel(h, params.theta_gamma, params.w2)
+    g_cols = _offset_kernel(w, params.theta_gamma, 1.0)
+    two_b2 = 2.0 * params.theta_beta * params.theta_beta
+
+    block = min(n, max(1, _BLOCK_BYTES // (8 * n)))
+    kern_buf = np.empty(block * n)
+    tmp_buf = np.empty(block * n)
+    pairwise = 0.0
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        m = stop - start
+        q_rows, q_cols = np.divmod(np.arange(start, stop), w)
+        kern = kern_buf[: m * n].reshape(m, n)
+        tmp = tmp_buf[: m * n].reshape(m, n)
+        kern.fill(0.0)
+        for band in bands:
+            np.subtract(band[start:stop, None], band, out=tmp)
+            np.square(tmp, out=tmp)
+            kern += tmp
+        with np.errstate(over="ignore"):  # as in _offset_kernel
+            np.divide(kern, -two_b2, out=kern)
+        np.exp(kern, out=kern)
+        grid = kern.reshape(m, h, w)
+        grid *= a_rows[h - 1 - q_rows, :, None]
+        grid *= a_cols[w - 1 - q_cols, None, :]
+        np.multiply(
+            g_rows[h - 1 - q_rows, :, None],
+            g_cols[w - 1 - q_cols, None, :],
+            out=tmp.reshape(m, h, w),
+        )
+        kern += tmp
+        same = (kern @ onehot)[np.arange(m), labels[start:stop]]
+        pairwise += float((kern.sum(axis=1) - same).sum())
+    return energy + pairwise
+
+
+def _offset_kernel(size: int, theta: float, weight: float) -> np.ndarray:
+    """(size, size) view whose row size-1-r holds weight * exp(-(r' - r)^2 /
+    (2 theta^2)) for r' = 0..size-1: the windows of one array of the
+    2*size-1 offsets, so no size x size table is stored."""
+    d = np.arange(1 - size, size, dtype=np.float64)
+    d *= d
+    # A quotient that overflows is -inf, and exp(-inf) = 0 is its limit.
+    with np.errstate(over="ignore"):
+        factor = weight * np.exp(d / (-2.0 * theta * theta))
+    return np.lib.stride_tricks.sliding_window_view(factor, size)

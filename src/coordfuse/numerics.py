@@ -59,7 +59,10 @@ def typed(key: str, val, kind):
     if kind in (int, float) and isinstance(val, bool):
         raise TypeError(f"{key} must be a number, got {val!r}")
     if kind is float and isinstance(val, int):
-        return float(val)
+        try:
+            return float(val)
+        except OverflowError:
+            raise TypeError(f"{key} is an integer beyond the float64 range") from None
     if not isinstance(val, kind):
         raise TypeError(f"{key} must be {_KINDS[kind]}, got {val!r}")
     return val

@@ -49,17 +49,21 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First and second moment accumulators plus the shared step counter."""
+    """First and second moment accumulators, the shared step counter, and two
+    scratch buffers as large as the largest parameter."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    scratch: tuple[np.ndarray, np.ndarray]
     step: int = 0
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray]) -> "AdamState":
+        size = max((p.size for p in params.values()), default=0)
         return cls(
             m={k: np.zeros_like(p) for k, p in params.items()},
             v={k: np.zeros_like(p) for k, p in params.items()},
+            scratch=(np.empty(size), np.empty(size)),
         )
 
 
@@ -69,7 +73,12 @@ def adam_step(
     state: AdamState,
     cfg: TrainConfig,
 ) -> None:
-    """One bias-corrected Adam update, applied to the arrays in place."""
+    """One bias-corrected Adam update, applied to the arrays in place.
+
+    Every intermediate goes to the state's two scratch buffers, in the
+    operation order of m_hat = m / (1 - beta1^t), v_hat = v / (1 - beta2^t),
+    p -= lr * m_hat / (sqrt(v_hat) + eps).
+    """
     if set(grads) != set(params):
         raise KeyError(f"gradient keys {sorted(grads)} do not match parameters")
     state.step += 1
@@ -80,13 +89,21 @@ def adam_step(
             raise NumericalError(f"non-finite gradient for {name} at step {t}")
         m = state.m[name]
         v = state.v[name]
+        a, b = (buf[: p.size].reshape(p.shape) for buf in state.scratch)
         m *= cfg.beta1
-        m += (1 - cfg.beta1) * g
+        np.multiply(1 - cfg.beta1, g, out=a)
+        m += a
         v *= cfg.beta2
-        v += (1 - cfg.beta2) * g * g
-        m_hat = m / (1 - cfg.beta1**t)
-        v_hat = v / (1 - cfg.beta2**t)
-        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        np.multiply(1 - cfg.beta2, g, out=a)
+        a *= g
+        v += a
+        np.divide(m, 1 - cfg.beta1**t, out=a)
+        a *= cfg.learning_rate
+        np.divide(v, 1 - cfg.beta2**t, out=b)
+        np.sqrt(b, out=b)
+        b += cfg.epsilon
+        a /= b
+        p -= a
         if not np.all(np.isfinite(p)):
             raise NumericalError(f"non-finite parameter {name} after step {t}")
 

@@ -81,6 +81,13 @@ def test_load_config_defaults(tmp_path):
         ('{"cube": "a", "labels": "b", "train": {"batch_size": true}}', "number"),
         ('{"cube": "a", "labels": "b", "model": {"keep_prob": 2.0}}', "keep_prob"),
         ('{"cube": "a", "labels": "b", "crf": {"theta_alpha": -1}}', "theta_alpha"),
+        # 2 theta^2 overflows, or underflows to 0 or to a subnormal.
+        ('{"cube": "a", "labels": "b", "crf": {"theta_alpha": 1e200}}', "theta_alpha"),
+        ('{"cube": "a", "labels": "b", "crf": {"theta_beta": 1e-200}}', "theta_beta"),
+        ('{"cube": "a", "labels": "b", "crf": {"theta_gamma": 1e-154}}', "theta_gamma"),
+        # An integer beyond the float64 range is no number, not a traceback.
+        ('{"cube": "a", "labels": "b", "crf": {"theta_alpha": 1%s}}' % ("0" * 400),
+         "theta_alpha"),
         ('{"cube": "a", "labels": "b", "appearance_bands": []}', "appearance_bands"),
         ('{"cube": "a", "labels": "b", "train": {"learning_rate": -1}}', "learning rate"),
         ("[1, 2]", "object"),

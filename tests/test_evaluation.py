@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from coordfuse.evaluation import (
+    _BLOCK_BYTES,
     CrfParams,
     confusion,
     default_palette,
@@ -184,8 +186,12 @@ def test_render_map_validation(tmp_path):
 def test_crf_params_validation():
     CrfParams().validate()
     for field in ("theta_alpha", "theta_beta", "theta_gamma"):
-        with pytest.raises(ValueError, match=field):
-            CrfParams(**{field: 0.0}).validate()
+        # 2 theta^2 overflows, underflows to 0, or underflows to a subnormal.
+        for theta in (0.0, 1e200, 1e-200, 1e-154):
+            with pytest.raises(ValueError, match=field):
+                CrfParams(**{field: theta}).validate()
+        for theta in (1.1e-154, 9e153):
+            CrfParams(**{field: theta}).validate()
 
 
 def naive_energy(labeling, probmap, appearance, params):
@@ -206,6 +212,31 @@ def naive_energy(labeling, probmap, appearance, params):
             )
             e += params.w2 * math.exp(-d_pos / (2 * params.theta_gamma**2))
     return e
+
+
+def row_loop_energy(labeling, probmap, appearance, params):
+    """Reference: one vectorized row of the pairwise sum per query pixel,
+    with the positional and appearance terms in one `exp`."""
+    h, w = labeling.shape
+    n = h * w
+    k = probmap.shape[2]
+    labels = labeling.reshape(n)
+    probs = probmap.reshape(n, k)
+    feats = appearance.reshape(n, -1)
+    r, c = np.divmod(np.arange(n), w)
+    pos = np.stack([r, c], axis=1).astype(np.float64)
+    chosen = probs[np.arange(n), labels - 1]
+    energy = float(-np.log(np.clip(chosen, 1e-12, None)).sum())
+    two_a2 = 2.0 * params.theta_alpha**2
+    two_b2 = 2.0 * params.theta_beta**2
+    two_g2 = 2.0 * params.theta_gamma**2
+    for i in range(n):
+        d_pos = ((pos - pos[i]) ** 2).sum(axis=1)
+        d_app = ((feats - feats[i]) ** 2).sum(axis=1)
+        kernel = params.w1 * np.exp(-d_pos / two_a2 - d_app / two_b2)
+        kernel += params.w2 * np.exp(-d_pos / two_g2)
+        energy += float(kernel[labels != labels[i]].sum())
+    return energy
 
 
 def _random_instance(rng, h, w, k, bands=3):
@@ -247,6 +278,65 @@ def test_energy_matches_naive_double_loop():
         a = dense_energy(labeling, probmap, appearance, params)
         b = naive_energy(labeling, probmap, appearance, params)
         assert abs(a - b) < 1e-9
+
+
+def _block_rows(n):
+    return min(n, max(1, _BLOCK_BYTES // (8 * n)))
+
+
+@pytest.mark.parametrize(
+    "h,w", [(1, 1), (1, 600), (600, 1), (13, 17), (23, 29), (64, 64)]
+)
+def test_energy_matches_row_loop_oracle(h, w):
+    rng = create_rng(h * 1000 + w)
+    labeling, probmap, appearance = _random_instance(rng, h, w, 4)
+    params = CrfParams(w1=1.3, w2=0.7, theta_alpha=5.0, theta_beta=0.4, theta_gamma=2.5)
+    if (h, w) in ((13, 17), (23, 29)):
+        # Several blocks, with a boundary inside an image row.
+        assert _block_rows(h * w) < h * w and _block_rows(h * w) % w != 0
+    a = dense_energy(labeling, probmap, appearance, params)
+    b = row_loop_energy(labeling, probmap, appearance, params)
+    assert abs(a - b) <= 1e-12 * abs(b)
+
+
+@pytest.mark.parametrize("h,w", [(64, 64), (1, 4096), (4096, 1)])
+def test_energy_working_memory_is_bounded(h, w):
+    # An H x H or W x W table alone would be 128 MiB at 1x4096 or 4096x1.
+    rng = create_rng(7)
+    labeling, probmap, appearance = _random_instance(rng, h, w, 6)
+    inputs = labeling.nbytes + probmap.nbytes + appearance.nbytes
+    tracemalloc.start()
+    try:
+        dense_energy(labeling, probmap, appearance, CrfParams())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20 + inputs, (peak, inputs)
+
+
+def test_energy_zero_weights_have_zero_pairwise_part():
+    # Several blocks; every kernel is an exact 0, so only the unary sum remains.
+    rng = create_rng(12)
+    labeling, probmap, appearance = _random_instance(rng, 40, 50, 5)
+    assert _block_rows(40 * 50) < 40 * 50
+    chosen = np.take_along_axis(probmap, labeling[:, :, None] - 1, axis=2)
+    unary = float(-np.log(chosen.reshape(-1)).sum())
+    e = dense_energy(labeling, probmap, appearance, CrfParams(w1=0.0, w2=0.0))
+    assert e == unary
+
+
+def test_energy_extreme_bandwidths_reach_their_limits():
+    # theta_beta near the smallest accepted value: the appearance kernel is 1
+    # for equal appearance and 0 otherwise, with no NaN and no warning.
+    # theta_alpha and theta_gamma near the largest: positional factors are 1.
+    labeling = np.array([[1, 2, 1, 2]])
+    probmap = np.full((1, 4, 2), 0.5)
+    appearance = np.array([[[0.3], [0.3], [0.7], [0.9]]])
+    params = CrfParams(w1=2.0, w2=0.5, theta_alpha=9e153, theta_beta=1.1e-154,
+                       theta_gamma=9e153)
+    e = dense_energy(labeling, probmap, appearance, params)
+    # 8 ordered differing-label pairs, 2 of them with equal appearance.
+    assert math.isclose(e, 4 * math.log(2.0) + 8 * 0.5 + 2 * 2.0, rel_tol=1e-12)
 
 
 def test_energy_clamps_zero_probability():
@@ -292,3 +382,7 @@ def test_energy_validation():
         dense_energy(good * 3, probmap, appearance, CrfParams())
     with pytest.raises(ValueError):
         dense_energy(good, probmap, appearance, CrfParams(theta_beta=-1.0))
+    with pytest.raises(ValueError, match="theta_alpha"):
+        dense_energy(good, probmap, appearance, CrfParams(theta_alpha=1e200))
+    with pytest.raises(ValueError, match="theta_beta"):
+        dense_energy(good, probmap, appearance, CrfParams(theta_beta=1e-200))
