@@ -4,13 +4,18 @@ Forward passes take one sample or a stack of samples along a leading batch
 axis: a spectral input is a flat float64 vector or an (n, bands) stack, a
 convolution output is (n_filters, length) or (n, n_filters, length), dense
 layers map (in_dim,) or (n, in_dim) to (out_dim,) or (n, out_dim). A sample
-without the batch axis runs the same code, so its result does not depend on
-whether it is stacked. Backward passes work per sample. Each returns parameter
-gradients plus the gradient with respect to the layer input (the conv, the
-first layer, returns only its parameter gradients), and is validated against
-central finite differences in the test suite. Max pooling keeps no argmax:
-its forward returns only the window maxima, and its backward finds the
-earliest column holding each maximum from the maps and the maxima.
+without the batch axis runs the same code. The conv and the pool use no BLAS,
+so a stacked sample gets the bits of a lone one. The dense layers' stacked
+products are BLAS matrix products, which sum in another order than a single
+row's, so a stacked sample's dense output may differ from a lone one's by
+about 1e-16 relative.
+
+Backward passes work per sample. Each returns parameter gradients plus the
+gradient with respect to the layer input (the conv, the first layer, returns
+only its parameter gradients), and is validated against central finite
+differences in the test suite. Max pooling keeps no argmax: its forward
+returns only the window maxima, and its backward finds the earliest column
+holding each maximum from the maps and the maxima.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 logger = logging.getLogger(__name__)
 
@@ -69,9 +74,23 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def conv1d_forward(layer: Conv1d, x: np.ndarray) -> np.ndarray:
-    """ReLU feature maps of shape (..., n_filters, length - kernel_len + 1)
-    for one spectrum (length,) or a stack (n, length)."""
+def _windows(x: np.ndarray, kernel_len: int) -> np.ndarray:
+    """Read-only (..., length - kernel_len + 1, kernel_len) view of the
+    overlapping windows along the last axis of `x`."""
+    step = x.strides[-1]
+    shape = (*x.shape[:-1], x.shape[-1] - kernel_len + 1, kernel_len)
+    return as_strided(x, shape, (*x.strides[:-1], step, step), writeable=False)
+
+
+def conv1d_forward(layer: Conv1d, x: np.ndarray, width: int = 1, stride: int = 1) -> np.ndarray:
+    """ReLU feature maps for one spectrum (length,) or a stack (n, length),
+    max-pooled over windows of `width` columns every `stride` columns.
+
+    The default (1, 1) returns the plain maps, (..., n_filters, length -
+    kernel_len + 1). The pool runs on the bias-free products, and the bias
+    and ReLU on its maxima only: both are monotone, so the result is bitwise
+    maxpool1d_forward(conv1d_forward(layer, x), width, stride).
+    """
     x = np.asarray(x, dtype=np.float64)
     kernel_len = layer.weights.shape[1]
     if x.ndim not in (1, 2):
@@ -80,12 +99,12 @@ def conv1d_forward(layer: Conv1d, x: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"input length {x.shape[-1]} is shorter than the kernel ({kernel_len})"
         )
-    windows = sliding_window_view(x, kernel_len, axis=-1)  # (..., L, K)
     # The overlapping window view has no BLAS layout, so numpy sums each output
     # over the taps in order: a stacked spectrum gets the bits of a lone one.
-    pre = layer.weights @ windows.swapaxes(-1, -2)  # (..., F, L)
-    pre += layer.bias[:, None]
-    return np.maximum(pre, 0.0, out=pre)
+    products = layer.weights @ _windows(x, kernel_len).swapaxes(-1, -2)  # (..., F, L)
+    out = maxpool1d_forward(products, width, stride)
+    out += layer.bias[:, None]
+    return np.maximum(out, 0.0, out=out)
 
 
 def conv1d_backward(
@@ -106,7 +125,7 @@ def conv1d_backward(
             f"got out {out.shape} and grad {grad_out.shape}"
         )
     g = np.where(out > 0.0, grad_out, 0.0)  # (F, L)
-    return g @ sliding_window_view(x, kernel_len), g.sum(axis=1)
+    return g @ _windows(x, kernel_len), g.sum(axis=1)
 
 
 def maxpool1d_forward(x: np.ndarray, width: int = 2, stride: int = 2) -> np.ndarray:
@@ -126,8 +145,9 @@ def maxpool1d_forward(x: np.ndarray, width: int = 2, stride: int = 2) -> np.ndar
     if x.shape[-1] < width:
         raise ShapeError(f"map length {x.shape[-1]} is shorter than the window ({width})")
     span = stride * ((x.shape[-1] - width) // stride) + 1
-    pooled = x[..., 0:span:stride].copy()  # one strided tap per window offset
-    for k in range(1, width):
+    # One strided tap per window offset; the first maximum allocates the result.
+    pooled = np.maximum(x[..., 0:span:stride], x[..., width - 1 : width - 1 + span : stride])
+    for k in range(1, width - 1):
         np.maximum(pooled, x[..., k : k + span : stride], out=pooled)
     return pooled
 

@@ -29,7 +29,6 @@ from coordfuse.layers import (
     dense_forward,
     dropout,
     maxpool1d_backward,
-    maxpool1d_forward,
     softmax,
 )
 from coordfuse.numerics import glorot_init, typed
@@ -119,13 +118,12 @@ class DualBranchModel:
 @dataclass
 class ForwardCache:
     """Every intermediate of one forward; backward needs a single-pixel one.
-    `drop_mask` is None when the forward drew no dropout mask. The pool's
-    routing is not kept: backward recomputes it from `conv_out` and the
-    maxima in `flat`."""
+    `drop_mask` is None when the forward drew no dropout mask. The conv's
+    full feature maps are not kept: backward recomputes them from `spectral`,
+    and the pool's routing from those maps and the maxima in `flat`."""
 
     spectral: np.ndarray
     coords: np.ndarray
-    conv_out: np.ndarray
     flat: np.ndarray
     fc_out: np.ndarray
     drop_mask: np.ndarray | None
@@ -222,8 +220,7 @@ def forward(
             f"expected coordinate features of shape {(*lead, 2)}, got {coords.shape}"
         )
 
-    conv_out = conv1d_forward(model.conv, spectral)
-    pooled = maxpool1d_forward(conv_out, cfg.pool_width, cfg.pool_stride)
+    pooled = conv1d_forward(model.conv, spectral, cfg.pool_width, cfg.pool_stride)
     flat = pooled.reshape(*lead, -1)  # filter-major, positions within a filter contiguous
     fc_out = dense_forward(model.fc, flat)
     o1, drop_mask = dropout(cfg.keep_prob, rng, fc_out)
@@ -240,7 +237,6 @@ def forward(
     cache = ForwardCache(
         spectral=spectral,
         coords=coords,
-        conv_out=conv_out,
         flat=flat,
         fc_out=fc_out,
         drop_mask=drop_mask,
@@ -271,16 +267,18 @@ def backward(
     d_fused = head_g.inputs
 
     grads: dict[str, np.ndarray] = {}
-    # Branch 1: undo any dropout scaling, then dense, pool, conv.
+    # Branch 1: undo any dropout scaling, then dense, pool, conv. The pool's
+    # backward needs the full maps, which the forward fused away.
     d_fc_out = d_fused
     if cache.drop_mask is not None:
         d_fc_out = d_fused * cache.drop_mask / cfg.keep_prob
     fc_g = dense_backward(model.fc, cache.flat, cache.fc_out, d_fc_out)
     pooled = cache.flat.reshape(cfg.conv_filters, cfg.pooled_len)
     d_pooled = fc_g.inputs.reshape(pooled.shape)
-    d_conv = maxpool1d_backward(cache.conv_out, pooled, d_pooled, cfg.pool_width, cfg.pool_stride)
+    conv_out = conv1d_forward(model.conv, cache.spectral)
+    d_conv = maxpool1d_backward(conv_out, pooled, d_pooled, cfg.pool_width, cfg.pool_stride)
     grads["conv.weights"], grads["conv.bias"] = conv1d_backward(
-        model.conv, cache.spectral, cache.conv_out, d_conv
+        model.conv, cache.spectral, conv_out, d_conv
     )
     grads["fc.weights"] = fc_g.weights
     grads["fc.bias"] = fc_g.bias

@@ -2,8 +2,11 @@
 
 Tensors throughout the package are plain numpy float64 ndarrays, row-major
 and contiguous. Randomness comes from numpy's PCG64 generator seeded with a
-single unsigned 64-bit integer, so any experiment replays bit-for-bit from
-its seed on every platform. `typed` checks a value against a field type.
+single unsigned 64-bit integer, so an experiment replays bit-for-bit from
+its seed under the same numpy, the same BLAS build and the same BLAS thread
+count. A BLAS matrix product's bits can depend on the thread count, so
+another environment may change the last bits of its results. `typed` checks
+a value against a field type.
 """
 
 from __future__ import annotations

@@ -88,6 +88,12 @@ def test_load_config_defaults(tmp_path):
         # An integer beyond the float64 range is no number, not a traceback.
         ('{"cube": "a", "labels": "b", "crf": {"theta_alpha": 1%s}}' % ("0" * 400),
          "theta_alpha"),
+        # json raises a plain ValueError for an integer literal over 4300 digits.
+        pytest.param(
+            '{"cube": "a", "labels": "b", "crf": {"theta_alpha": 1%s}}' % ("0" * 5000),
+            "JSON",
+            id="integer-literal-over-4300-digits",
+        ),
         ('{"cube": "a", "labels": "b", "appearance_bands": []}', "appearance_bands"),
         ('{"cube": "a", "labels": "b", "train": {"learning_rate": -1}}', "learning rate"),
         ("[1, 2]", "object"),

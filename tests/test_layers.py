@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from checks import MARGIN, fd_wrt, norm_rel_err
+from numpy.lib.stride_tricks import sliding_window_view
+
 from coordfuse.layers import (
     Conv1d,
     Dense,
@@ -16,6 +18,7 @@ from coordfuse.layers import (
     maxpool1d_forward,
     relu,
     softmax,
+    _windows,
 )
 from coordfuse.numerics import create_rng
 
@@ -368,6 +371,31 @@ def test_conv_stack_matches_per_sample():
     for i in range(7):
         single = conv1d_forward(layer, x[i])
         assert np.allclose(out[i], single, rtol=STACK_RTOL, atol=STACK_ATOL)
+
+
+@pytest.mark.parametrize("width,stride", [(1, 1), (2, 2), (3, 2), (2, 3), (3, 1), (4, 4)])
+def test_conv_pooled_forward_is_the_pool_of_the_maps(width, stride):
+    rng = create_rng(22)
+    # Biases of both signs, large enough that some filters clip almost
+    # everywhere and others almost nowhere.
+    layer = Conv1d(rng.normal(size=(6, 5)), np.array([-3.0, -0.5, 0.0, 0.5, 3.0, -1.0]))
+    x = rng.normal(size=(5, 23))
+    pooled = conv1d_forward(layer, x, width, stride)
+    assert np.array_equal(pooled, maxpool1d_forward(conv1d_forward(layer, x), width, stride))
+    assert 0.0 < np.mean(pooled == 0.0) < 1.0
+    for i in range(5):
+        single = conv1d_forward(layer, x[i], width, stride)
+        assert np.array_equal(single, maxpool1d_forward(conv1d_forward(layer, x[i]), width, stride))
+        assert np.array_equal(pooled[i], single)
+
+
+@pytest.mark.parametrize("shape", [(17,), (4, 17)])
+def test_windows_is_a_read_only_sliding_window_view(shape):
+    x = create_rng(23).normal(size=shape)
+    win = _windows(x, 5)
+    assert np.array_equal(win, sliding_window_view(x, 5, axis=-1))
+    assert win.strides == sliding_window_view(x, 5, axis=-1).strides
+    assert not win.flags.writeable
 
 
 @pytest.mark.parametrize("width,stride,length", [(2, 2, 10), (2, 2, 11), (3, 2, 12), (3, 1, 9)])

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from checks import dual_margins, fd_wrt, norm_rel_err
-from coordfuse.layers import ShapeError, cross_entropy
+from coordfuse.layers import (
+    ShapeError,
+    conv1d_forward,
+    cross_entropy,
+    dense_forward,
+    maxpool1d_forward,
+    softmax,
+)
 from coordfuse import model as model_module
 from coordfuse.model import (
     CheckpointError,
@@ -383,6 +390,47 @@ def test_forward_stack_matches_single_pixel_forwards(baseline):
     for i in range(9):
         single, _ = forward(model, feats[i], coords[i])
         assert np.allclose(probs[i], single, rtol=STACK_RTOL, atol=STACK_ATOL)
+
+
+def unfused_forward(model, feats, coords):
+    """Reference inference forward: full ReLU maps, then the pool, then the
+    dense layers and the softmax."""
+    cfg = model.config
+    maps = conv1d_forward(model.conv, feats)
+    pooled = maxpool1d_forward(maps, cfg.pool_width, cfg.pool_stride)
+    fused = dense_forward(model.fc, pooled.reshape(len(feats), -1))
+    if not cfg.baseline:
+        fused = fused + dense_forward(model.coord2, dense_forward(model.coord1, coords))
+    return softmax(dense_forward(model.head, fused))
+
+
+@pytest.mark.parametrize("baseline", [False, True])
+def test_forward_many_is_bitwise_the_unfused_forward(baseline):
+    model = build(ModelConfig(num_bands=220, num_classes=16, baseline=baseline), create_rng(0))
+    # Biases of both signs, so the ReLU clips some pooled maxima and passes others.
+    model.conv.bias[...] = create_rng(1).normal(0.0, 0.5, model.conv.bias.shape)
+    rng = create_rng(2)
+    feats = rng.normal(size=(150, 220))
+    coords = rng.random((150, 2))
+    rows = model_module._chunk_rows(model.config, feats.nbytes)
+    assert rows < len(feats)
+    ref = np.concatenate(
+        [unfused_forward(model, feats[i : i + rows], coords[i : i + rows])
+         for i in range(0, len(feats), rows)]
+    )
+    assert np.array_equal(forward_many(model, feats, coords), ref)
+
+
+@pytest.mark.parametrize("spectral_shape", [(16,), (5, 16)])
+def test_forward_cache_holds_no_full_feature_map(spectral_shape):
+    model = small_model(keep_prob=0.75)
+    rng = create_rng(10)
+    feats = rng.random(spectral_shape)
+    _, cache = forward(model, feats, rng.random((*spectral_shape[:-1], 2)), rng)
+    cfg = model.config
+    full_map = (cfg.conv_filters, cfg.conv_len)
+    for value in vars(cache).values():
+        assert np.shape(value)[-2:] != full_map
 
 
 def test_forward_rejects_mismatched_rows():
