@@ -341,6 +341,9 @@ def cmd_energy(args) -> int:
     params = cfg.crf_params()
     for name, path in (("baseline", base_path), ("dual", dual_path)):
         model = load_checkpoint(path)
+        if model.config.baseline != (name == "baseline"):
+            kind = "baseline" if model.config.baseline else "dual"
+            raise ValueError(f"{path} holds a {kind} model, not the {name} model")
         if model.config.num_bands != cube.bands:
             raise ValueError(
                 f"{path} expects {model.config.num_bands} bands, cube has {cube.bands}"

@@ -234,8 +234,9 @@ def from_csv(path) -> tuple[DataCube, LabelMap]:
     """Build a cube and label map from a pixel CSV.
 
     Grid dimensions are max(row)+1 by max(col)+1; band count comes from the
-    first line and must be consistent. Duplicate pixels and band values that
-    are not finite as float32 are errors.
+    first line and must be consistent. Duplicate pixels, band values that
+    are not finite as float32, labels above the u16 maximum and grids of
+    more than MAX_ELEMENTS values are errors, raised before any grid is made.
     """
     pixels = {}
     n_bands = None
@@ -250,6 +251,8 @@ def from_csv(path) -> tuple[DataCube, LabelMap]:
                 raise CsvFormatError(f"{path}:{lineno}: malformed row: {exc}") from exc
             if row < 0 or col < 0 or label < 0:
                 raise CsvFormatError(f"{path}:{lineno}: negative row/col/label")
+            if label > np.iinfo(np.uint16).max:
+                raise CsvFormatError(f"{path}:{lineno}: label {label} exceeds the u16 range")
             if not values:
                 raise CsvFormatError(f"{path}:{lineno}: no band values")
             with np.errstate(over="ignore"):
@@ -269,6 +272,10 @@ def from_csv(path) -> tuple[DataCube, LabelMap]:
         raise CsvFormatError(f"{path}: no pixel rows")
     height = max(r for r, _ in pixels) + 1
     width = max(c for _, c in pixels) + 1
+    if height * width * n_bands > MAX_ELEMENTS:
+        raise CsvFormatError(
+            f"{path}: a {height}x{width}x{n_bands} grid exceeds {MAX_ELEMENTS} values"
+        )
     cube = np.zeros((height, width, n_bands), dtype=np.float64)
     labels = np.zeros((height, width), dtype=np.int64)
     for (row, col), (label, values) in pixels.items():

@@ -10,12 +10,14 @@ products are BLAS matrix products, which sum in another order than a single
 row's, so a stacked sample's dense output may differ from a lone one's by
 about 1e-16 relative.
 
-Backward passes work per sample. Each returns parameter gradients plus the
-gradient with respect to the layer input (the conv, the first layer, returns
-only its parameter gradients), and is validated against central finite
-differences in the test suite. Max pooling keeps no argmax: its forward
-returns only the window maxima, and its backward finds the earliest column
-holding each maximum from the maps and the maxima.
+Backward passes work per sample. Each returns a tuple: the parameter
+gradients, then the gradient with respect to the layer input (the conv, the
+first layer, returns only its parameter gradients). The conv's backward takes
+the same pool window as its forward and routes the pooled gradient itself.
+Each is validated against central finite differences in the test suite. Max
+pooling keeps no argmax: its forward returns only the window maxima, and its
+backward finds the earliest column holding each maximum from the maps and the
+maxima.
 """
 
 from __future__ import annotations
@@ -51,15 +53,6 @@ class Dense:
     weights: np.ndarray  # (in_dim, out_dim)
     bias: np.ndarray  # (out_dim,)
     activation: str = "identity"
-
-
-@dataclass
-class LayerGrads:
-    """Gradients mirroring a layer's parameter shapes, plus the input gradient."""
-
-    weights: np.ndarray
-    bias: np.ndarray
-    inputs: np.ndarray
 
 
 def relu(z: np.ndarray) -> np.ndarray:
@@ -108,24 +101,26 @@ def conv1d_forward(layer: Conv1d, x: np.ndarray, width: int = 1, stride: int = 1
 
 
 def conv1d_backward(
-    layer: Conv1d, x: np.ndarray, out: np.ndarray, grad_out: np.ndarray
+    layer: Conv1d,
+    x: np.ndarray,
+    pooled: np.ndarray,
+    grad_out: np.ndarray,
+    width: int = 1,
+    stride: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(d_weights, d_bias) of a scalar loss through the ReLU convolution.
+    """(d_weights, d_bias) of a scalar loss through the pooled ReLU convolution.
 
-    `out` is the forward result for `x`; its sign carries the ReLU mask. The
-    conv is the model's first layer and nothing before it learns, so the
-    gradient with respect to `x` is not computed.
+    `pooled` is conv1d_forward(layer, x, width, stride) for one spectrum and
+    `grad_out` the loss gradient at it. The plain maps are recomputed from
+    `x`, and the pool routes the gradient back to them. The conv is the
+    model's first layer and nothing before it learns, so the gradient with
+    respect to `x` is not computed.
     """
     x = np.asarray(x, dtype=np.float64)
-    n_filters, kernel_len = layer.weights.shape
-    length = x.shape[0] - kernel_len + 1
-    if out.shape != (n_filters, length) or grad_out.shape != (n_filters, length):
-        raise ShapeError(
-            f"expected maps of shape {(n_filters, length)}, "
-            f"got out {out.shape} and grad {grad_out.shape}"
-        )
-    g = np.where(out > 0.0, grad_out, 0.0)  # (F, L)
-    return g @ _windows(x, kernel_len), g.sum(axis=1)
+    maps = conv1d_forward(layer, x)  # (F, L)
+    g = maxpool1d_backward(maps, pooled, grad_out, width, stride)
+    g = np.where(maps > 0.0, g, 0.0)
+    return g @ _windows(x, layer.weights.shape[1]), g.sum(axis=1)
 
 
 def maxpool1d_forward(x: np.ndarray, width: int = 2, stride: int = 2) -> np.ndarray:
@@ -198,9 +193,9 @@ def dense_forward(layer: Dense, v: np.ndarray) -> np.ndarray:
 
 def dense_backward(
     layer: Dense, v: np.ndarray, out: np.ndarray, grad_out: np.ndarray
-) -> LayerGrads:
-    """Gradients of a scalar loss through a dense layer; `grad_out` is the
-    loss gradient at the layer output."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d_weights, d_bias, d_inputs) of a scalar loss through a dense layer;
+    `grad_out` is the loss gradient at the layer output."""
     v = np.asarray(v, dtype=np.float64)
     out_dim = layer.bias.shape[0]
     if out.shape != (out_dim,) or grad_out.shape != (out_dim,):
@@ -214,7 +209,7 @@ def dense_backward(
         dz = np.asarray(grad_out, dtype=np.float64)
     else:
         raise ValueError(f"unknown activation {layer.activation!r}")
-    return LayerGrads(np.outer(v, dz), dz.copy(), layer.weights @ dz)
+    return np.outer(v, dz), dz.copy(), layer.weights @ dz
 
 
 def dropout(

@@ -28,7 +28,6 @@ from coordfuse.layers import (
     dense_backward,
     dense_forward,
     dropout,
-    maxpool1d_backward,
     softmax,
 )
 from coordfuse.numerics import glorot_init, typed
@@ -119,8 +118,8 @@ class DualBranchModel:
 class ForwardCache:
     """Every intermediate of one forward; backward needs a single-pixel one.
     `drop_mask` is None when the forward drew no dropout mask. The conv's
-    full feature maps are not kept: backward recomputes them from `spectral`,
-    and the pool's routing from those maps and the maxima in `flat`."""
+    full feature maps are not kept: its backward recomputes them from
+    `spectral`."""
 
     spectral: np.ndarray
     coords: np.ndarray
@@ -263,36 +262,27 @@ def backward(
 
     loss, d_logits = cross_entropy(cache.probs, label - 1)
     # The head is linear: dense_backward reads only the shape of its output.
-    head_g = dense_backward(model.head, cache.fused, cache.probs, d_logits)
-    d_fused = head_g.inputs
+    head_w, head_b, d_fused = dense_backward(model.head, cache.fused, cache.probs, d_logits)
 
-    grads: dict[str, np.ndarray] = {}
-    # Branch 1: undo any dropout scaling, then dense, pool, conv. The pool's
-    # backward needs the full maps, which the forward fused away.
+    # Branch 1: undo any dropout scaling, then the dense layer and the pooled conv.
     d_fc_out = d_fused
     if cache.drop_mask is not None:
         d_fc_out = d_fused * cache.drop_mask / cfg.keep_prob
-    fc_g = dense_backward(model.fc, cache.flat, cache.fc_out, d_fc_out)
+    fc_w, fc_b, d_flat = dense_backward(model.fc, cache.flat, cache.fc_out, d_fc_out)
     pooled = cache.flat.reshape(cfg.conv_filters, cfg.pooled_len)
-    d_pooled = fc_g.inputs.reshape(pooled.shape)
-    conv_out = conv1d_forward(model.conv, cache.spectral)
-    d_conv = maxpool1d_backward(conv_out, pooled, d_pooled, cfg.pool_width, cfg.pool_stride)
-    grads["conv.weights"], grads["conv.bias"] = conv1d_backward(
-        model.conv, cache.spectral, conv_out, d_conv
+    conv_w, conv_b = conv1d_backward(
+        model.conv, cache.spectral, pooled, d_flat.reshape(pooled.shape),
+        cfg.pool_width, cfg.pool_stride,
     )
-    grads["fc.weights"] = fc_g.weights
-    grads["fc.bias"] = fc_g.bias
+    grads = {"conv.weights": conv_w, "conv.bias": conv_b, "fc.weights": fc_w, "fc.bias": fc_b}
 
     if not cfg.baseline:
-        c2_g = dense_backward(model.coord2, cache.coord_hidden_out, cache.o2, d_fused)
-        c1_g = dense_backward(model.coord1, cache.coords, cache.coord_hidden_out, c2_g.inputs)
-        grads["coord1.weights"] = c1_g.weights
-        grads["coord1.bias"] = c1_g.bias
-        grads["coord2.weights"] = c2_g.weights
-        grads["coord2.bias"] = c2_g.bias
-
-    grads["head.weights"] = head_g.weights
-    grads["head.bias"] = head_g.bias
+        hidden = cache.coord_hidden_out
+        c2_w, c2_b, d_hidden = dense_backward(model.coord2, hidden, cache.o2, d_fused)
+        c1_w, c1_b, _ = dense_backward(model.coord1, cache.coords, hidden, d_hidden)
+        grads.update({"coord1.weights": c1_w, "coord1.bias": c1_b,
+                      "coord2.weights": c2_w, "coord2.bias": c2_b})
+    grads.update({"head.weights": head_w, "head.bias": head_b})
     return loss, grads
 
 

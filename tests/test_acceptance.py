@@ -93,22 +93,22 @@ def _layer_fd_worst(seeds=10):
 
         dproj = rng.normal(size=5)
         d_out = dense_forward(dense, v)
-        dg = dense_backward(dense, v, d_out, dproj)
+        dg_weights, dg_bias, dg_inputs = dense_backward(dense, v, d_out, dproj)
         dloss = lambda: float(dense_forward(dense, v) @ dproj)
-        worst = max(worst, norm_rel_err(fd_wrt(dloss, dense.weights), dg.weights))
-        worst = max(worst, norm_rel_err(fd_wrt(dloss, dense.bias), dg.bias))
-        worst = max(worst, norm_rel_err(fd_wrt(dloss, v), dg.inputs))
+        worst = max(worst, norm_rel_err(fd_wrt(dloss, dense.weights), dg_weights))
+        worst = max(worst, norm_rel_err(fd_wrt(dloss, dense.bias), dg_bias))
+        worst = max(worst, norm_rel_err(fd_wrt(dloss, v), dg_inputs))
 
         smax = Dense(rng.normal(size=(6, 4)), np.zeros(4))  # the model's linear head
         sv = rng.normal(size=6)
         target = seed % 4
         logits = dense_forward(smax, sv)
         _, d_logits = cross_entropy(softmax(logits), target)
-        sg = dense_backward(smax, sv, logits, d_logits)
+        sg_weights, sg_bias, sg_inputs = dense_backward(smax, sv, logits, d_logits)
         sloss = lambda: cross_entropy(softmax(dense_forward(smax, sv)), target)[0]
-        worst = max(worst, norm_rel_err(fd_wrt(sloss, smax.weights), sg.weights))
-        worst = max(worst, norm_rel_err(fd_wrt(sloss, smax.bias), sg.bias))
-        worst = max(worst, norm_rel_err(fd_wrt(sloss, sv), sg.inputs))
+        worst = max(worst, norm_rel_err(fd_wrt(sloss, smax.weights), sg_weights))
+        worst = max(worst, norm_rel_err(fd_wrt(sloss, smax.bias), sg_bias))
+        worst = max(worst, norm_rel_err(fd_wrt(sloss, sv), sg_inputs))
     assert accepted == seeds
     return worst
 

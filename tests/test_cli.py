@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,22 @@ def test_convert_duplicate_pixel_exits_2(tmp_path, capsys):
     rc = main(["convert", str(csv), str(tmp_path / "c"), str(tmp_path / "l")])
     assert rc == 2
     assert "duplicate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ("0,0,1,0.5\n0,1,70000,0.25\n", ":2: label 70000 exceeds the u16 range"),
+        ("1000000000,1000000000,2,0.25\n", "grid exceeds 4294967296 values"),
+    ],
+)
+def test_convert_rejects_before_writing(tmp_path, capsys, body, message):
+    csv = tmp_path / "p.csv"
+    csv.write_text(body)
+    cube_path, labels_path = tmp_path / "c.hcube", tmp_path / "l.hlbl"
+    assert main(["convert", str(csv), str(cube_path), str(labels_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not cube_path.exists() and not labels_path.exists()
 
 
 def test_convert_missing_csv_exits_2(tmp_path):
@@ -364,17 +381,46 @@ def test_energy_command_prints_three_lines(tiny_experiment, capsys):
     assert abs((b - d) - delta) < 1e-6
 
 
-def test_energy_identical_checkpoints_identical_energies(tiny_experiment, capsys):
-    ckpt = str(tiny_experiment["out"] / "model.ckpt")
+def test_energy_identical_checkpoints_identical_energies(tiny_experiment, tmp_path, capsys):
+    # A checkpoint must hold the model of its role, so byte copies of the two
+    # stand in for identical checkpoints: they must print the same energies.
+    out = tiny_experiment["out"]
+    for name in ("model.ckpt", "baseline_model.ckpt"):
+        shutil.copyfile(out / name, tmp_path / name)
+    printed = []
+    for ckpts in (out, tmp_path):
+        rc = main(
+            ["energy", "--config", str(tiny_experiment["config"]),
+             "--out-dir", str(out), "--crop", "0,0,6,6",
+             "--dual-ckpt", str(ckpts / "model.ckpt"),
+             "--baseline-ckpt", str(ckpts / "baseline_model.ckpt")]
+        )
+        assert rc == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+
+
+@pytest.mark.parametrize(
+    "dual,baseline,wrong",
+    [
+        ("baseline_model.ckpt", "model.ckpt", "model.ckpt"),  # swapped: baseline is read first
+        ("model.ckpt", "model.ckpt", "model.ckpt"),
+        ("baseline_model.ckpt", "baseline_model.ckpt", "baseline_model.ckpt"),
+    ],
+)
+def test_energy_checkpoint_of_the_wrong_role_exits_2(
+    tiny_experiment, capsys, dual, baseline, wrong
+):
+    out = tiny_experiment["out"]
     rc = main(
         ["energy", "--config", str(tiny_experiment["config"]),
-         "--out-dir", str(tiny_experiment["out"]), "--crop", "0,0,6,6",
-         "--dual-ckpt", ckpt, "--baseline-ckpt", ckpt]
+         "--out-dir", str(out), "--crop", "0,0,4,4",
+         "--dual-ckpt", str(out / dual), "--baseline-ckpt", str(out / baseline)]
     )
-    assert rc == 0
-    out = capsys.readouterr().out.splitlines()
-    assert out[0].split("=")[1] == out[1].split("=")[1]
-    assert out[2] == "difference=0.000000"
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert str(out / wrong) in captured.err
+    assert captured.out == ""
 
 
 def test_energy_zero_weights_equal_unary(tiny_experiment, tmp_path, capsys):

@@ -256,10 +256,10 @@ def test_dense_gradients_match_finite_differences(activation):
             return float(dense_forward(layer, v) @ proj)
 
         out = dense_forward(layer, v)
-        grads = dense_backward(layer, v, out, proj)
-        assert norm_rel_err(fd_wrt(loss, layer.weights), grads.weights) < LAYER_TOL
-        assert norm_rel_err(fd_wrt(loss, layer.bias), grads.bias) < LAYER_TOL
-        assert norm_rel_err(fd_wrt(loss, v), grads.inputs) < LAYER_TOL
+        d_weights, d_bias, d_inputs = dense_backward(layer, v, out, proj)
+        assert norm_rel_err(fd_wrt(loss, layer.weights), d_weights) < LAYER_TOL
+        assert norm_rel_err(fd_wrt(loss, layer.bias), d_bias) < LAYER_TOL
+        assert norm_rel_err(fd_wrt(loss, v), d_inputs) < LAYER_TOL
 
 
 def test_softmax_cross_entropy_gradients_match_finite_differences():
@@ -273,10 +273,10 @@ def test_softmax_cross_entropy_gradients_match_finite_differences():
 
         logits = dense_forward(layer, v)
         _, d_logits = cross_entropy(softmax(logits), target)
-        grads = dense_backward(layer, v, logits, d_logits)
-        assert norm_rel_err(fd_wrt(loss, layer.weights), grads.weights) < LAYER_TOL
-        assert norm_rel_err(fd_wrt(loss, layer.bias), grads.bias) < LAYER_TOL
-        assert norm_rel_err(fd_wrt(loss, v), grads.inputs) < LAYER_TOL
+        d_weights, d_bias, d_inputs = dense_backward(layer, v, logits, d_logits)
+        assert norm_rel_err(fd_wrt(loss, layer.weights), d_weights) < LAYER_TOL
+        assert norm_rel_err(fd_wrt(loss, layer.bias), d_bias) < LAYER_TOL
+        assert norm_rel_err(fd_wrt(loss, v), d_inputs) < LAYER_TOL
 
 
 def test_softmax_properties():
@@ -373,7 +373,10 @@ def test_conv_stack_matches_per_sample():
         assert np.allclose(out[i], single, rtol=STACK_RTOL, atol=STACK_ATOL)
 
 
-@pytest.mark.parametrize("width,stride", [(1, 1), (2, 2), (3, 2), (2, 3), (3, 1), (4, 4)])
+POOL_WINDOWS = [(1, 1), (2, 2), (3, 2), (2, 3), (3, 1), (4, 4)]
+
+
+@pytest.mark.parametrize("width,stride", POOL_WINDOWS)
 def test_conv_pooled_forward_is_the_pool_of_the_maps(width, stride):
     rng = create_rng(22)
     # Biases of both signs, large enough that some filters clip almost
@@ -387,6 +390,55 @@ def test_conv_pooled_forward_is_the_pool_of_the_maps(width, stride):
         single = conv1d_forward(layer, x[i], width, stride)
         assert np.array_equal(single, maxpool1d_forward(conv1d_forward(layer, x[i]), width, stride))
         assert np.array_equal(pooled[i], single)
+
+
+@pytest.mark.parametrize("width,stride", POOL_WINDOWS)
+def test_conv_backward_unpools_like_the_unfused_chain(width, stride):
+    rng = create_rng(24)
+    layer = Conv1d(rng.normal(size=(6, 5)), np.array([-3.0, -0.5, 0.0, 0.5, 3.0, -1.0]))
+    x = rng.normal(size=23)
+    pooled = conv1d_forward(layer, x, width, stride)
+    grad = rng.normal(size=pooled.shape)
+    # The unfused chain: plain maps, pool routing, ReLU mask, then the products.
+    maps = conv1d_forward(layer, x)
+    assert 0.0 < np.mean(maps == 0.0) < 1.0
+    g = maxpool1d_backward(maps, pooled, grad, width, stride)
+    g = np.where(maps > 0.0, g, 0.0)
+    window = () if (width, stride) == (1, 1) else (width, stride)  # (1, 1) is the default
+    d_weights, d_bias = conv1d_backward(layer, x, pooled, grad, *window)
+    assert np.array_equal(d_weights, g @ sliding_window_view(x, 5))
+    assert np.array_equal(d_bias, g.sum(axis=1))
+
+
+def draw_pooled_conv_case(seed, width, stride):
+    """draw_conv_case whose pool windows also hold no near tie."""
+    for attempt in range(100):
+        layer, x = draw_conv_case(seed + 100 * attempt, length=23)
+        maps = conv1d_forward(layer, x)
+        n_windows = (maps.shape[1] - width) // stride + 1
+        windows = np.sort(sliding_window_view(maps, width, axis=1)[:, ::stride][:, :n_windows])
+        top = windows[..., -1]
+        gap = top - windows[..., -2] if width > 1 else np.inf
+        # A window of clipped maps stays at zero: its pre-activations clear MARGIN.
+        if np.all((top == 0.0) | (gap > MARGIN)):
+            return layer, x
+    raise AssertionError("no tie-free pooled conv draw found")
+
+
+# (1, 1) is test_conv_gradients_match_finite_differences.
+@pytest.mark.parametrize("width,stride", POOL_WINDOWS[1:])
+def test_pooled_conv_gradients_match_finite_differences(width, stride):
+    for seed in range(5):
+        layer, x = draw_pooled_conv_case(seed, width, stride)
+        pooled = conv1d_forward(layer, x, width, stride)
+        proj = create_rng(seed + 88).normal(size=pooled.shape)
+
+        def loss():
+            return float((conv1d_forward(layer, x, width, stride) * proj).sum())
+
+        d_weights, d_bias = conv1d_backward(layer, x, pooled, proj, width, stride)
+        assert norm_rel_err(fd_wrt(loss, layer.weights), d_weights) < LAYER_TOL
+        assert norm_rel_err(fd_wrt(loss, layer.bias), d_bias) < LAYER_TOL
 
 
 @pytest.mark.parametrize("shape", [(17,), (4, 17)])

@@ -15,6 +15,7 @@ from coordfuse.layers import (
     maxpool1d_forward,
     softmax,
 )
+from coordfuse import layers as layers_module
 from coordfuse import model as model_module
 from coordfuse.model import (
     CheckpointError,
@@ -163,6 +164,22 @@ def test_backward_keys_match_parameters():
         assert list(grads) == list(model.parameters())
         for name, g in grads.items():
             assert g.shape == model.parameters()[name].shape, name
+
+
+def test_backward_reaches_the_conv_helpers_through_the_layers_module(monkeypatch):
+    # A per-layer profiler counts the conv backward's nested calls by patching
+    # these names in coordfuse.layers; a local binding would hide them.
+    model = small_model()
+    _, cache = forward(model, create_rng(1).random(16), np.full(2, 0.5))
+    calls = {}
+    for name in ("conv1d_forward", "maxpool1d_backward"):
+        def counted(*args, _fn=getattr(layers_module, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(layers_module, name, counted)
+    backward(model, cache, 2)
+    assert calls == {"conv1d_forward": 1, "maxpool1d_backward": 1}
 
 
 def _kink_free_case(seed, baseline, keep_prob=1.0):
