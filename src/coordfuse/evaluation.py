@@ -8,8 +8,9 @@ marginals so values that are exact rationals (e.g. 0.4) come out exact.
 a Gaussian appearance kernel plus a Gaussian smoothness kernel and Potts
 compatibility. It is a diagnostic for comparing two classification maps, not
 an inference routine: the sum over all pixel pairs is exact and O(N^2), meant
-for small crops. It runs in blocks of query pixels with one `exp` per pair
-and a working memory of a few 256 KiB blocks, whatever the crop's shape.
+for crops up to the size of the Indian Pines frame. It evaluates each
+unordered pair once, in blocks of query pixels with one `exp` per pair and a
+working memory of a few 256 KiB blocks, whatever the crop's shape.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from coordfuse.layers import PROB_FLOOR, ShapeError
 
-# Bytes of one (query block x N) float64 array in `dense_energy`.
+# Bytes of one (query block x compared pixels) float64 array in `dense_energy`.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -192,12 +193,19 @@ def dense_energy(
     with p the raw (row, col) pixel position and I the caller-supplied
     appearance vector. Same-label pairs contribute nothing.
 
-    The sum is exact and O(N^2) in the N pixels, taken over blocks of query
-    pixels against every pixel. The positional factors split into row and
-    column parts, exp(-|dr|^2 / 2 theta^2) * exp(-|dc|^2 / 2 theta^2), read
-    from tables of length H and W, so the appearance factor is the only
-    `exp` per pair. The working memory is a few block-sized arrays, never an
-    N x N, H x H or W x W table.
+    The sum is exact and O(N^2) in the N pixels. The potential is symmetric
+    in i and j, so each unordered pair is evaluated once and counted twice:
+    about N^2 / 2 kernel values, plus at most one image row per query pixel
+    and each block's pairs with itself. A crop wider than tall is transposed
+    first (the energy is symmetric in rows and columns), and each block of
+    query pixels is compared with the pixels from the start of its first
+    image row on. The positional factors split into row and column parts,
+    exp(-|dr|^2 / 2 theta^2) * exp(-|dc|^2 / 2 theta^2), read from tables of
+    length H and W, so the appearance factor is the only `exp` per pair.
+    Blocks grow as the rows left shrink; each is one array within 256 KiB,
+    and the working memory is a few of them, never an N x N, H x H or W x W
+    table. One core of a 2-core Xeon takes about 0.13 s at 64 x 64 and 4 s at
+    145 x 145.
     """
     params.validate()
     labeling = np.asarray(labeling, dtype=np.int64)
@@ -219,7 +227,12 @@ def dense_energy(
     chosen = probmap.reshape(n, k)[np.arange(n), labels]
     energy = float(-np.log(np.clip(chosen, PROB_FLOOR, None)).sum())
 
-    bands = np.ascontiguousarray(appearance.reshape(n, -1).T)  # band-major
+    if w > h:  # the energy is symmetric in rows and columns
+        labeling = labeling.T
+        appearance = appearance.transpose(1, 0, 2)
+        h, w = w, h
+        labels = labeling.reshape(n) - 1
+    bands = np.ascontiguousarray(appearance.transpose(2, 0, 1)).reshape(-1, n)
     onehot = np.zeros((n, k))
     onehot[np.arange(n), labels] = 1.0
     # Positional factors, w1 folded into the row tables of theta_alpha and
@@ -230,35 +243,47 @@ def dense_energy(
     g_cols = _offset_kernel(w, params.theta_gamma, 1.0)
     two_b2 = 2.0 * params.theta_beta * params.theta_beta
 
-    block = min(n, max(1, _BLOCK_BYTES // (8 * n)))
-    kern_buf = np.empty(block * n)
-    tmp_buf = np.empty(block * n)
+    size = min(n * n, max(_BLOCK_BYTES // 8, n))
+    kern_buf = np.empty(size)
+    tmp_buf = np.empty(size)
     pairwise = 0.0
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    start = 0
+    while start < n:
+        # Compare the block [start, stop) with the pixels from the start of
+        # its first image row on, so the tables broadcast over whole rows.
+        r0 = start // w
+        off = r0 * w
+        cols = n - off
+        stop = min(n, start + max(1, _BLOCK_BYTES // (8 * cols)))
         m = stop - start
         q_rows, q_cols = np.divmod(np.arange(start, stop), w)
-        kern = kern_buf[: m * n].reshape(m, n)
-        tmp = tmp_buf[: m * n].reshape(m, n)
+        kern = kern_buf[: m * cols].reshape(m, cols)
+        tmp = tmp_buf[: m * cols].reshape(m, cols)
         kern.fill(0.0)
         for band in bands:
-            np.subtract(band[start:stop, None], band, out=tmp)
+            np.subtract(band[start:stop, None], band[off:], out=tmp)
             np.square(tmp, out=tmp)
             kern += tmp
         with np.errstate(over="ignore"):  # as in _offset_kernel
             np.divide(kern, -two_b2, out=kern)
         np.exp(kern, out=kern)
-        grid = kern.reshape(m, h, w)
-        grid *= a_rows[h - 1 - q_rows, :, None]
+        grid = kern.reshape(m, h - r0, w)
+        grid *= a_rows[h - 1 - q_rows, r0:, None]
         grid *= a_cols[w - 1 - q_cols, None, :]
         np.multiply(
-            g_rows[h - 1 - q_rows, :, None],
+            g_rows[h - 1 - q_rows, r0:, None],
             g_cols[w - 1 - q_cols, None, :],
-            out=tmp.reshape(m, h, w),
+            out=tmp.reshape(m, h - r0, w),
         )
         kern += tmp
-        same = (kern @ onehot)[np.arange(m), labels[start:stop]]
-        pairwise += float((kern.sum(axis=1) - same).sum())
+        # Each unordered pair once: pairs with earlier pixels were summed by
+        # earlier blocks, and the block's pairs with itself appear in both
+        # orders, so they are halved before the block's sum is doubled.
+        kern[:, : start - off] = 0.0
+        kern[:, start - off : stop - off] *= 0.5
+        same = (kern @ onehot[off:])[np.arange(m), labels[start:stop]]
+        pairwise += 2.0 * float((kern.sum(axis=1) - same).sum())
+        start = stop
     return energy + pairwise
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coordfuse.cli import UsageError, load_config, main
+from coordfuse.cli import MAX_CROP_PIXELS, UsageError, _parse_crop, load_config, main
 from coordfuse.dataset import DataCube, LabelMap, load_cube, load_labels, save_cube, save_labels
 from coordfuse.evaluation import CrfParams, dense_energy
 from coordfuse.model import load_checkpoint
@@ -457,10 +457,21 @@ def test_energy_crop_errors(tiny_experiment, capsys):
     base = ["energy", "--config", str(tiny_experiment["config"]),
             "--out-dir", str(tiny_experiment["out"])]
     assert main(base + ["--crop", "0,0,70,70"]) == 1
+    assert "exceeds the 12x12 image" in capsys.readouterr().err
+    assert main(base + ["--crop", "0,0,146,145"]) == 1
+    assert f"limit is {MAX_CROP_PIXELS}" in capsys.readouterr().err
     assert main(base + ["--crop", "0,0,9"]) == 1
     assert main(base + ["--crop", "0,0,x,4"]) == 1
     assert main(base + ["--crop", "10,10,4,4"]) == 1  # runs past the 12x12 edge
+    assert "exceeds the 12x12 image" in capsys.readouterr().err
     assert main(base + ["--crop", "0,0,-1,4"]) == 1
+
+
+def test_parse_crop_accepts_exactly_the_limit():
+    assert MAX_CROP_PIXELS == 145 * 145  # the Indian Pines frame
+    assert _parse_crop("0,0,145,145") == (0, 0, 145, 145)
+    with pytest.raises(UsageError, match=f"limit is {MAX_CROP_PIXELS}"):
+        _parse_crop("0,0,146,145")
 
 
 def test_energy_missing_checkpoint_exits_2(tiny_experiment, tmp_path):

@@ -280,26 +280,52 @@ def test_energy_matches_naive_double_loop():
         assert abs(a - b) < 1e-9
 
 
-def _block_rows(n):
-    return min(n, max(1, _BLOCK_BYTES // (8 * n)))
+def _block_starts(h, w):
+    """First pixel of each query block of `dense_energy`: a crop wider than
+    tall is transposed, and a block starting in image row r sizes itself to
+    the (h - r) * w pixels it is compared with."""
+    h, w = max(h, w), min(h, w)
+    n = h * w
+    starts = [0]
+    while True:
+        start = starts[-1]
+        stop = start + max(1, _BLOCK_BYTES // (8 * (n - start // w * w)))
+        if stop >= n:
+            return starts
+        starts.append(stop)
 
 
 @pytest.mark.parametrize(
-    "h,w", [(1, 1), (1, 600), (600, 1), (13, 17), (23, 29), (64, 64)]
+    "h,w",
+    [(1, 1), (1, 600), (600, 1), (13, 17), (23, 29), (17, 13), (29, 23), (64, 3),
+     (64, 64)],
 )
 def test_energy_matches_row_loop_oracle(h, w):
     rng = create_rng(h * 1000 + w)
     labeling, probmap, appearance = _random_instance(rng, h, w, 4)
     params = CrfParams(w1=1.3, w2=0.7, theta_alpha=5.0, theta_beta=0.4, theta_gamma=2.5)
-    if (h, w) in ((13, 17), (23, 29)):
+    if (h, w) in ((13, 17), (23, 29), (17, 13), (29, 23), (64, 3)):
         # Several blocks, with a boundary inside an image row.
-        assert _block_rows(h * w) < h * w and _block_rows(h * w) % w != 0
+        starts = _block_starts(h, w)
+        assert len(starts) > 1 and any(s % min(h, w) for s in starts)
     a = dense_energy(labeling, probmap, appearance, params)
     b = row_loop_energy(labeling, probmap, appearance, params)
     assert abs(a - b) <= 1e-12 * abs(b)
 
 
-@pytest.mark.parametrize("h,w", [(64, 64), (1, 4096), (4096, 1)])
+@pytest.mark.parametrize("h,w", [(13, 29), (64, 3), (40, 50)])
+def test_energy_is_invariant_under_transposition(h, w):
+    rng = create_rng(h * 100 + w)
+    labeling, probmap, appearance = _random_instance(rng, h, w, 5)
+    params = CrfParams(w1=0.9, w2=1.4, theta_alpha=4.0, theta_beta=0.6, theta_gamma=2.0)
+    a = dense_energy(labeling, probmap, appearance, params)
+    b = dense_energy(
+        labeling.T, probmap.transpose(1, 0, 2), appearance.transpose(1, 0, 2), params
+    )
+    assert abs(a - b) <= 1e-12 * abs(a)
+
+
+@pytest.mark.parametrize("h,w", [(64, 64), (1, 4096), (4096, 1), (145, 145)])
 def test_energy_working_memory_is_bounded(h, w):
     # An H x H or W x W table alone would be 128 MiB at 1x4096 or 4096x1.
     rng = create_rng(7)
@@ -318,7 +344,7 @@ def test_energy_zero_weights_have_zero_pairwise_part():
     # Several blocks; every kernel is an exact 0, so only the unary sum remains.
     rng = create_rng(12)
     labeling, probmap, appearance = _random_instance(rng, 40, 50, 5)
-    assert _block_rows(40 * 50) < 40 * 50
+    assert len(_block_starts(40, 50)) > 1
     chosen = np.take_along_axis(probmap, labeling[:, :, None] - 1, axis=2)
     unary = float(-np.log(chosen.reshape(-1)).sum())
     e = dense_energy(labeling, probmap, appearance, CrfParams(w1=0.0, w2=0.0))

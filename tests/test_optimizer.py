@@ -1,9 +1,13 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import coordfuse
 from coordfuse.model import ModelConfig, backward, build, forward
 from coordfuse.numerics import create_rng
 from coordfuse.optimizer import (
@@ -229,6 +233,41 @@ def test_training_is_pinned(baseline):
         for a in (model.theta, history.loss, history.train_acc)
     )
     assert hashlib.sha256(blob).hexdigest() == TRAINING_SHA256[baseline]
+
+
+# Two Adam steps (batch 64) at the Indian Pines shape: 220 bands, so the fc
+# layer is 2100 x 100. Prints the sha256 of the trained theta.
+_PINES_STEPS = """
+import hashlib
+from coordfuse.model import ModelConfig, build
+from coordfuse.numerics import create_rng
+from coordfuse.optimizer import TrainConfig, train
+
+rng = create_rng(8)
+model = build(ModelConfig(num_bands=220, num_classes=16), rng)
+assert model.parameters()["fc.weights"].shape == (2100, 100)
+feats = rng.random((128, 220))
+coords = rng.random((128, 2))
+labels = rng.integers(1, 17, size=128)
+train(model, feats, coords, labels, TrainConfig(batch_size=64, max_epochs=1), rng)
+print(hashlib.sha256(model.theta.tobytes()).hexdigest())
+"""
+
+
+def test_pines_shape_training_replays_at_one_blas_thread():
+    # The reproducibility contract: the same numpy, BLAS build and BLAS
+    # thread count give the same bits, also at shapes where BLAS threads.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coordfuse.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    digests = [
+        subprocess.run(
+            [sys.executable, "-c", _PINES_STEPS],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        ).stdout.strip()
+        for _ in range(2)
+    ]
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 def test_train_input_validation():
