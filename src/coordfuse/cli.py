@@ -54,7 +54,7 @@ from coordfuse.model import (
     predict_many,
     save_checkpoint,
 )
-from coordfuse.numerics import create_rng, typed
+from coordfuse.numerics import atomic_write, create_rng, typed
 from coordfuse.optimizer import NumericalError, TrainConfig, train
 
 EXIT_OK = 0
@@ -222,7 +222,7 @@ def cmd_synth(args) -> int:
         f"with {labels.num_classes} classes"
     )
     if args.emit_config:
-        with open(args.emit_config, "w", newline="") as f:
+        with atomic_write(args.emit_config, "w") as f:
             json.dump(asdict(cfg), f, indent=2, sort_keys=True)
             f.write("\n")
         print(f"wrote config to {args.emit_config}")

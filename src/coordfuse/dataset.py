@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from coordfuse.numerics import create_rng, require_finite
+from coordfuse.numerics import atomic_write, create_rng, require_finite
 
 CUBE_MAGIC = b"HCB1"
 LABEL_MAGIC = b"HLB1"
@@ -209,7 +209,7 @@ def load_cube(path) -> DataCube:
 
 
 def save_cube(cube: DataCube, path) -> None:
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(CUBE_MAGIC)
         f.write(struct.pack("<III", cube.height, cube.width, cube.bands))
         f.write(np.ascontiguousarray(cube.values, dtype="<f4"))
@@ -224,7 +224,7 @@ def load_labels(path) -> LabelMap:
 def save_labels(labels: LabelMap, path) -> None:
     if labels.labels.max(initial=0) > np.iinfo(np.uint16).max:
         raise ValueError("labels exceed the u16 range of the file format")
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(LABEL_MAGIC)
         f.write(struct.pack("<II", labels.height, labels.width))
         f.write(np.ascontiguousarray(labels.labels, dtype="<u2"))

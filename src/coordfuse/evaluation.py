@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from coordfuse.layers import PROB_FLOOR, ShapeError
+from coordfuse.numerics import atomic_write
 
 # Bytes of one (query block x compared pixels) float64 array in `dense_energy`.
 _BLOCK_BYTES = 256 * 1024
@@ -107,7 +108,7 @@ def write_report(report: EvalReport, path, train_counts) -> None:
         '"per_class":[%s]' % ",".join(f"{v:.6f}" for v in report.per_class)
     )
     parts.append('"train_counts":[%s]' % ",".join(str(int(c)) for c in train_counts))
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, "w") as f:
         f.write("{" + ",".join(parts) + "}\n")
 
 
@@ -145,7 +146,7 @@ def render_map(preds: np.ndarray, palette: np.ndarray, path) -> None:
         )
     h, w = preds.shape
     rgb = palette.astype(np.uint8)[preds]
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         f.write(rgb.tobytes())
 

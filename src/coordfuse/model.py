@@ -30,7 +30,7 @@ from coordfuse.layers import (
     dropout,
     softmax,
 )
-from coordfuse.numerics import glorot_init, typed
+from coordfuse.numerics import atomic_write, glorot_init, typed
 
 CHECKPOINT_MAGIC = b"DBM1"
 CHECKPOINT_VERSION = 1
@@ -116,10 +116,11 @@ class DualBranchModel:
 
 @dataclass
 class ForwardCache:
-    """Every intermediate of one forward; backward needs a single-pixel one.
-    `drop_mask` is None when the forward drew no dropout mask. The conv's
-    full feature maps are not kept: its backward recomputes them from
-    `spectral`."""
+    """Every intermediate of one forward, for one pixel or a stack of them.
+    Backward needs a single-pixel cache: `row(j)` takes pixel j's out of a
+    stacked one. `drop_mask` is None when the forward drew no dropout mask.
+    The conv's full feature maps are not kept: its backward recomputes them
+    from `spectral`."""
 
     spectral: np.ndarray
     coords: np.ndarray
@@ -130,6 +131,12 @@ class ForwardCache:
     o2: np.ndarray | None
     fused: np.ndarray
     probs: np.ndarray
+
+    def row(self, j: int) -> "ForwardCache":
+        """The single-pixel cache of row j of a stacked forward, as views of
+        this one's arrays; a None field stays None."""
+        parts = vars(self).items()
+        return ForwardCache(**{k: None if v is None else v[j] for k, v in parts})
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -337,7 +344,7 @@ def save_checkpoint(model: DualBranchModel, path) -> None:
     """Versioned header, config echo as JSON, `theta` as little-endian f64."""
     cfg_json = json.dumps(asdict(model.config), sort_keys=True, separators=(",", ":"))
     payload = cfg_json.encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(payload)))
         f.write(payload)

@@ -5,17 +5,23 @@ and contiguous. Randomness comes from numpy's PCG64 generator seeded with a
 single unsigned 64-bit integer, so an experiment replays bit-for-bit from
 its seed under the same numpy, the same BLAS build and the same BLAS thread
 count. A BLAS matrix product's bits can depend on the thread count, so
-another environment may change the last bits of its results. `typed` checks
-a value against a field type.
+another environment may change the last bits of its results. Training runs
+one such product per mini-batch, so trained parameters and checkpoints carry
+this dependence; values printed or written at 6 decimals rarely show it.
+`typed` checks a value against a field type, and every artifact is written
+through `atomic_write`.
 """
 
 from __future__ import annotations
 
-from typing import get_args, get_origin
+import contextlib
+import os
+from collections.abc import Iterator
+from typing import IO, get_args, get_origin
 
 import numpy as np
 
-__all__ = ["create_rng", "glorot_init", "require_finite", "typed"]
+__all__ = ["atomic_write", "create_rng", "glorot_init", "require_finite", "typed"]
 
 _SEED_LIMIT = 2**64
 
@@ -69,3 +75,22 @@ def typed(key: str, val, kind):
     if not isinstance(val, kind):
         raise TypeError(f"{key} must be {_KINDS[kind]}, got {val!r}")
     return val
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "wb") -> Iterator[IO]:
+    """A new file beside `path`, open in `mode` ("wb", or "w" for text with
+    no newline translation), that replaces `path` only when the block ends
+    without an error: one rename, so a reader sees the old file or the whole
+    new one. On an error the new file is removed and `path` is untouched."""
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+    f = open(tmp, mode.replace("w", "x"), newline=None if "b" in mode else "")
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise

@@ -1,9 +1,12 @@
 """Adam optimization and the mini-batch training loop.
 
-Gradients come from the model's explicit backward pass. Batches are drawn
-by shuffling a permutation each epoch; the batch gradient is the mean of
-per-sample gradients accumulated in sample-index order, so a seed fixes
-the whole trajectory bit for bit.
+Batches are drawn by shuffling a permutation each epoch. Each batch runs
+one stacked forward, which draws its dropout masks in the order the
+per-sample draws would take, then the model's explicit backward pixel by
+pixel on that forward's rows. The batch gradient is the mean of the
+per-sample gradients accumulated in batch order, so a seed fixes the whole
+trajectory bit for bit under the same numpy, BLAS build and BLAS thread
+count (see coordfuse.numerics).
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from coordfuse.model import DualBranchModel, backward, forward, param_views
+from coordfuse.numerics import atomic_write
 
 logger = logging.getLogger(__name__)
 
@@ -116,7 +120,7 @@ class TrainHistory:
     train_acc: list[float] = field(default_factory=list)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
+        with atomic_write(path, "w") as f:
             f.write("epoch,loss,train_acc\n")
             for i, (l, a) in enumerate(zip(self.loss, self.train_acc), start=1):
                 f.write(f"{i},{l:.6f},{a:.6f}\n")
@@ -161,16 +165,15 @@ def train(
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             grad.fill(0.0)
-            for i in batch:
-                probs, cache = forward(model, features[i], coords[i], rng)
-                loss, sample_grads = backward(model, cache, int(labels[i]))
+            probs, cache = forward(model, features[batch], coords[batch], rng)
+            correct += int(np.count_nonzero(probs.argmax(axis=1) + 1 == labels[batch]))
+            for j, i in enumerate(batch):
+                loss, sample_grads = backward(model, cache.row(j), int(labels[i]))
                 if not np.isfinite(loss):
                     raise NumericalError(
                         f"non-finite loss at epoch {epoch + 1}, sample {i}"
                     )
                 epoch_loss += loss
-                if int(np.argmax(probs)) + 1 == labels[i]:
-                    correct += 1
                 for name, g in sample_grads.items():
                     grads[name] += g
             grad /= len(batch)

@@ -239,6 +239,21 @@ def test_load_checks_file_size_before_reading_payload(tmp_path, load, header, di
     assert peak < 1 << 20
 
 
+def test_save_cube_failing_part_way_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "c.hcube"
+    save_cube(DataCube(np.zeros((2, 2, 3))), path)
+    old = path.read_bytes()
+
+    def payload_fails(*args, **kwargs):  # after the header is written
+        raise MemoryError("payload conversion failed")
+
+    monkeypatch.setattr(dataset_module.np, "ascontiguousarray", payload_fails)
+    with pytest.raises(MemoryError):
+        save_cube(DataCube(np.ones((2, 2, 3))), path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["c.hcube"]
+
+
 def test_labels_round_trip(tmp_path):
     lm = LabelMap(np.array([[0, 1], [65535, 2]]))
     path = tmp_path / "l.hlbl"

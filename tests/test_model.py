@@ -409,6 +409,33 @@ def test_forward_stack_matches_single_pixel_forwards(baseline):
         assert np.allclose(probs[i], single, rtol=STACK_RTOL, atol=STACK_ATOL)
 
 
+@pytest.mark.parametrize("bands", [30, 220])
+@pytest.mark.parametrize("baseline", [False, True], ids=["dual", "baseline"])
+def test_backward_of_a_stacked_row_matches_the_single_pixel_backward(baseline, bands):
+    # Training runs one stacked forward per batch and backward on each row of
+    # its cache; the finite-difference checks cover the single-pixel forward.
+    cfg = ModelConfig(num_bands=bands, num_classes=16, keep_prob=0.75, baseline=baseline)
+    model = build(cfg, create_rng(3))
+    rng = create_rng(4)
+    feats = rng.random((12, bands))
+    coords = rng.random((12, 2))
+    labels = rng.integers(1, 17, size=12)
+    _, cache = forward(model, feats, coords, create_rng(5))
+    single_rng = create_rng(5)  # the same mask draws, one pixel at a time
+    for j in range(12):
+        row = cache.row(j)
+        for name, value in vars(row).items():
+            stacked = getattr(cache, name)
+            assert value is None if stacked is None else np.shares_memory(value, stacked)
+        _, single = forward(model, feats[j], coords[j], single_rng)
+        assert np.array_equal(row.drop_mask, single.drop_mask)
+        loss, grads = backward(model, row, int(labels[j]))
+        ref_loss, ref_grads = backward(model, single, int(labels[j]))
+        assert abs(loss - ref_loss) <= 1e-13 * abs(ref_loss)
+        for name, g in grads.items():
+            assert norm_rel_err(g, ref_grads[name]) <= 1e-13, name
+
+
 def unfused_forward(model, feats, coords):
     """Reference inference forward: full ReLU maps, then the pool, then the
     dense layers and the softmax."""

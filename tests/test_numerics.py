@@ -1,7 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
-from coordfuse.numerics import create_rng, glorot_init, require_finite
+from coordfuse.numerics import atomic_write, create_rng, glorot_init, require_finite
 
 
 def test_same_seed_same_stream():
@@ -58,3 +60,25 @@ def test_require_finite():
         arr = np.array([1.0, bad])
         with pytest.raises(ValueError, match="spectra"):
             require_finite(arr, "spectra")
+
+
+def test_atomic_write_replaces_the_whole_file_or_nothing(tmp_path):
+    target = tmp_path / "artifact.bin"
+    target.write_bytes(b"old bytes")
+    with pytest.raises(RuntimeError):
+        with atomic_write(target) as f:
+            f.write(b"half of the new")
+            raise RuntimeError("interrupted part-way")
+    assert target.read_bytes() == b"old bytes"
+    assert os.listdir(tmp_path) == ["artifact.bin"]
+    with atomic_write(target, "w") as f:  # text mode translates no newlines
+        f.write("a\nb\n")
+    assert target.read_bytes() == b"a\nb\n"
+    assert os.listdir(tmp_path) == ["artifact.bin"]
+
+
+def test_atomic_write_into_a_missing_directory_leaves_nothing(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        with atomic_write(tmp_path / "missing" / "artifact.bin") as f:
+            f.write(b"x")
+    assert os.listdir(tmp_path) == []

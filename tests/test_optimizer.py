@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import coordfuse
+from coordfuse import optimizer as optimizer_module
 from coordfuse.model import ModelConfig, backward, build, forward
 from coordfuse.numerics import create_rng
 from coordfuse.optimizer import (
@@ -175,7 +176,9 @@ def test_train_is_seed_deterministic():
 
 def test_train_matches_manual_loop():
     """One shared rng drives init, shuffling, and updates; a hand-rolled
-    epoch loop must land on bitwise-identical parameters."""
+    epoch loop over the same calls (one stacked forward per batch, then a
+    backward per row of its cache) must land on bitwise-identical
+    parameters."""
     feats, coords, labels = _toy_problem(n_per_class=8)
     n = len(labels)
     mcfg = ModelConfig(num_bands=12, num_classes=2, conv_filters=2, kernel_len=5,
@@ -195,9 +198,9 @@ def test_train_matches_manual_loop():
         for start in range(0, n, tcfg.batch_size):
             batch = order[start : start + tcfg.batch_size]
             acc = {k: np.zeros_like(p) for k, p in params.items()}
-            for i in batch:
-                _, cache = forward(ref, feats[i], coords[i], rng2)
-                _, grads = backward(ref, cache, int(labels[i]))
+            _, cache = forward(ref, feats[batch], coords[batch], rng2)
+            for j, i in enumerate(batch):
+                _, grads = backward(ref, cache.row(j), int(labels[i]))
                 for name, g in grads.items():
                     acc[name] += g
             for name in acc:
@@ -212,7 +215,7 @@ def test_train_matches_manual_loop():
 # after build and train share create_rng(21) on _toy_problem(n_per_class=8):
 # pins the dropout draws, the loss, the gradients and Adam bit for bit.
 TRAINING_SHA256 = {
-    False: "17f5d066868e3838b3f6b87619b8e0227bc1303f871bc31bb3eb46ea19458173",
+    False: "45974547e277699d0cb28e8b078cd869618bea39f14cf89dc0a29b450bfb71bc",
     True: "f4ae6702817d41eeb2f8d3196d89ed177323fc5726d021956e4a4bab2c05edad",
 }
 
@@ -233,6 +236,35 @@ def test_training_is_pinned(baseline):
         for a in (model.theta, history.loss, history.train_acc)
     )
     assert hashlib.sha256(blob).hexdigest() == TRAINING_SHA256[baseline]
+
+
+def test_train_makes_one_forward_per_batch_and_one_backward_per_sample(monkeypatch):
+    # A profiler counts calls and rows of these names in coordfuse.optimizer.
+    # 16 samples in batches of 6 leave a short last batch in every epoch.
+    feats, coords, labels = _toy_problem(n_per_class=8)
+    n, epochs, batch_size = len(labels), 3, 6
+    model = build(
+        ModelConfig(num_bands=12, num_classes=2, conv_filters=2, kernel_len=5,
+                    dense_width=4, coord_hidden=4),
+        create_rng(0),
+    )
+    forward_rows, backward_ndims = [], []
+
+    def counted_forward(model, spectral, coords, rng=None):
+        forward_rows.append(len(spectral))
+        return forward(model, spectral, coords, rng)
+
+    def counted_backward(model, cache, label):
+        backward_ndims.append(cache.probs.ndim)
+        return backward(model, cache, label)
+
+    monkeypatch.setattr(optimizer_module, "forward", counted_forward)
+    monkeypatch.setattr(optimizer_module, "backward", counted_backward)
+    train(model, feats, coords, labels,
+          TrainConfig(max_epochs=epochs, batch_size=batch_size), create_rng(1))
+    assert len(forward_rows) == epochs * math.ceil(n / batch_size)
+    assert sum(forward_rows) == epochs * n
+    assert backward_ndims == [1] * (epochs * n)  # one single-pixel cache each
 
 
 # Two Adam steps (batch 64) at the Indian Pines shape: 220 bands, so the fc
