@@ -409,6 +409,8 @@ def generate_synthetic(
     """
     if height < 1 or width < 1 or bands < 1:
         raise ValueError(f"degenerate dimensions {height}x{width}x{bands}")
+    if height * width * bands > MAX_ELEMENTS:  # load_cube would reject it
+        raise ValueError(f"a {height}x{width}x{bands} cube exceeds {MAX_ELEMENTS} values")
     if n_classes < 2:
         raise ValueError(f"need at least 2 classes, got {n_classes}")
     if height * width < n_classes:

@@ -1,23 +1,17 @@
 """Network primitives with explicit forward and backward passes.
 
-Forward passes take one sample or a stack of samples along a leading batch
-axis: a spectral input is a flat float64 vector or an (n, bands) stack, a
-convolution output is (n_filters, length) or (n, n_filters, length), dense
-layers map (in_dim,) or (n, in_dim) to (out_dim,) or (n, out_dim). A sample
-without the batch axis runs the same code. The conv and the pool use no BLAS,
-so a stacked sample gets the bits of a lone one. The dense layers' stacked
-products are BLAS matrix products, which sum in another order than a single
-row's, so a stacked sample's dense output may differ from a lone one's by
-about 1e-16 relative.
+Forward passes take a stack of samples along a leading batch axis: (n, length)
+spectra, (n, n_filters, length) feature maps, (n, in_dim) dense inputs. A lone
+sample is a one-row stack.
 
-Backward passes work per sample. Each returns a tuple: the parameter
-gradients, then the gradient with respect to the layer input (the conv, the
-first layer, returns only its parameter gradients). The conv's backward takes
-the same pool window as its forward and routes the pooled gradient itself.
-Each is validated against central finite differences in the test suite. Max
-pooling keeps no argmax: its forward returns only the window maxima, and its
-backward finds the earliest column holding each maximum from the maps and the
-maxima.
+Backward passes take one row of a stacked forward. Each returns a tuple: the
+parameter gradients, then the gradient with respect to the layer input (the
+conv, the first layer, returns only its parameter gradients). The conv's
+backward takes the same pool window as its forward and routes the pooled
+gradient itself. Each is validated against central finite differences in the
+test suite. Max pooling keeps no argmax: its forward returns only the window
+maxima, and its backward finds the earliest column holding each maximum from
+the maps and the maxima.
 """
 
 from __future__ import annotations
@@ -76,25 +70,25 @@ def _windows(x: np.ndarray, kernel_len: int) -> np.ndarray:
 
 
 def conv1d_forward(layer: Conv1d, x: np.ndarray, width: int = 1, stride: int = 1) -> np.ndarray:
-    """ReLU feature maps for one spectrum (length,) or a stack (n, length),
-    max-pooled over windows of `width` columns every `stride` columns.
+    """ReLU feature maps for an (n, length) stack of spectra, max-pooled over
+    windows of `width` columns every `stride` columns.
 
-    The default (1, 1) returns the plain maps, (..., n_filters, length -
+    The default (1, 1) returns the plain maps, (n, n_filters, length -
     kernel_len + 1). The pool runs on the bias-free products, and the bias
     and ReLU on its maxima only: both are monotone, so the result is bitwise
     maxpool1d_forward(conv1d_forward(layer, x), width, stride).
     """
     x = np.asarray(x, dtype=np.float64)
     kernel_len = layer.weights.shape[1]
-    if x.ndim not in (1, 2):
-        raise ShapeError(f"conv1d expects (length,) or (n, length), got shape {x.shape}")
-    if x.shape[-1] < kernel_len:
+    if x.ndim != 2:
+        raise ShapeError(f"conv1d expects (n, length), got shape {x.shape}")
+    if x.shape[1] < kernel_len:
         raise ShapeError(
-            f"input length {x.shape[-1]} is shorter than the kernel ({kernel_len})"
+            f"input length {x.shape[1]} is shorter than the kernel ({kernel_len})"
         )
     # The overlapping window view has no BLAS layout, so numpy sums each output
-    # over the taps in order: a stacked spectrum gets the bits of a lone one.
-    products = layer.weights @ _windows(x, kernel_len).swapaxes(-1, -2)  # (..., F, L)
+    # over the taps in order: every row gets the bits of a one-row stack.
+    products = layer.weights @ _windows(x, kernel_len).swapaxes(-1, -2)  # (n, F, L)
     out = maxpool1d_forward(products, width, stride)
     out += layer.bias[:, None]
     return np.maximum(out, 0.0, out=out)
@@ -110,31 +104,30 @@ def conv1d_backward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(d_weights, d_bias) of a scalar loss through the pooled ReLU convolution.
 
-    `pooled` is conv1d_forward(layer, x, width, stride) for one spectrum and
-    `grad_out` the loss gradient at it. The plain maps are recomputed from
-    `x`, and the pool routes the gradient back to them. The conv is the
+    `x` is one row of a stacked forward's spectra, `pooled` the same row of
+    that conv1d_forward(layer, spectra, width, stride) and `grad_out` the
+    loss gradient at it. The plain maps are recomputed from `x` as a one-row
+    stack, and the pool routes the gradient back to them. The conv is the
     model's first layer and nothing before it learns, so the gradient with
     respect to `x` is not computed.
     """
     x = np.asarray(x, dtype=np.float64)
-    maps = conv1d_forward(layer, x)  # (F, L)
+    maps = conv1d_forward(layer, x[None])[0]  # (F, L)
     g = maxpool1d_backward(maps, pooled, grad_out, width, stride)
     g = np.where(maps > 0.0, g, 0.0)
     return g @ _windows(x, layer.weights.shape[1]), g.sum(axis=1)
 
 
 def maxpool1d_forward(x: np.ndarray, width: int = 2, stride: int = 2) -> np.ndarray:
-    """Window maxima over the last axis of (n_maps, length) feature maps, or
-    of an (n, n_maps, length) stack of them.
+    """Window maxima over the last axis of an (n, n_maps, length) stack of
+    feature maps.
 
     Only the maxima are kept: maxpool1d_backward recomputes which column each
     one came from. A trailing remainder shorter than `width` is dropped.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (2, 3):
-        raise ShapeError(
-            f"maxpool expects (n_maps, length) or (n, n_maps, length), got shape {x.shape}"
-        )
+    if x.ndim != 3:
+        raise ShapeError(f"maxpool expects (n, n_maps, length), got shape {x.shape}")
     if width < 1 or stride < 1:
         raise ValueError(f"width and stride must be >= 1, got ({width}, {stride})")
     if x.shape[-1] < width:
@@ -152,8 +145,8 @@ def maxpool1d_backward(
 ) -> np.ndarray:
     """Route pooled gradients back to the column of `x` that held each maximum.
 
-    `pooled` is maxpool1d_forward(x, width, stride) for one sample. Ties take
-    the earliest column of the window.
+    `x` is one sample's (n_maps, length) maps and `pooled` their row of
+    maxpool1d_forward. Ties take the earliest column of the window.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -177,12 +170,11 @@ def maxpool1d_backward(
 
 
 def dense_forward(layer: Dense, v: np.ndarray) -> np.ndarray:
-    """activation(v @ weights + bias) for a flat input vector or an
-    (n, in_dim) stack of them."""
+    """activation(v @ weights + bias) for an (n, in_dim) stack of inputs."""
     v = np.asarray(v, dtype=np.float64)
     in_dim = layer.weights.shape[0]
-    if v.ndim not in (1, 2) or v.shape[-1] != in_dim:
-        raise ShapeError(f"expected input of shape ({in_dim},) or (n, {in_dim}), got {v.shape}")
+    if v.ndim != 2 or v.shape[1] != in_dim:
+        raise ShapeError(f"expected input of shape (n, {in_dim}), got {v.shape}")
     z = v @ layer.weights + layer.bias
     if layer.activation == "relu":
         return relu(z)

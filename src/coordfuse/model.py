@@ -116,9 +116,9 @@ class DualBranchModel:
 
 @dataclass
 class ForwardCache:
-    """Every intermediate of one forward, for one pixel or a stack of them.
-    Backward needs a single-pixel cache: `row(j)` takes pixel j's out of a
-    stacked one. `drop_mask` is None when the forward drew no dropout mask.
+    """Every intermediate of one forward over a stack of pixels. Backward
+    needs a single-pixel cache: `row(j)` takes pixel j's out of the stack.
+    `drop_mask` is None when the forward drew no dropout mask.
     The conv's full feature maps are not kept: its backward recomputes them
     from `spectral`."""
 
@@ -207,27 +207,25 @@ def forward(
     coords: np.ndarray,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Class distribution for one pixel, plus the cache backward needs.
+    """(n, K) class distributions for (n, B) spectra and (n, 2) coordinate
+    features, plus the cache backward needs.
 
     With an rng the spectral branch's dropout draws its mask from it (the
-    training forward); without one no dropout is applied (inference).
-    `spectral` and `coords` may also be (n, B) and (n, 2) stacks, giving
-    (n, K) distributions. The baseline ignores `coords` entirely; its output
-    is a function of the spectrum alone.
+    training forward); without one no dropout is applied (inference). The
+    baseline ignores `coords` entirely; its output is a function of the
+    spectrum alone.
     """
     cfg = model.config
     spectral = np.asarray(spectral, dtype=np.float64)
     coords = np.asarray(coords, dtype=np.float64)
-    if spectral.ndim not in (1, 2) or spectral.shape[-1] != cfg.num_bands:
-        raise ShapeError(f"expected {cfg.num_bands} bands, got shape {spectral.shape}")
-    lead = spectral.shape[:-1]
-    if coords.shape != (*lead, 2):
-        raise ShapeError(
-            f"expected coordinate features of shape {(*lead, 2)}, got {coords.shape}"
-        )
+    if spectral.ndim != 2 or spectral.shape[1] != cfg.num_bands:
+        raise ShapeError(f"expected (n, {cfg.num_bands}) spectra, got shape {spectral.shape}")
+    n = len(spectral)
+    if coords.shape != (n, 2):
+        raise ShapeError(f"expected coordinate features of shape {(n, 2)}, got {coords.shape}")
 
     pooled = conv1d_forward(model.conv, spectral, cfg.pool_width, cfg.pool_stride)
-    flat = pooled.reshape(*lead, -1)  # filter-major, positions within a filter contiguous
+    flat = pooled.reshape(n, -1)  # filter-major, positions within a filter contiguous
     fc_out = dense_forward(model.fc, flat)
     o1, drop_mask = dropout(cfg.keep_prob, rng, fc_out)
 

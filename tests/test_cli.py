@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import shutil
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from coordfuse import cli as cli_module
 from coordfuse.cli import MAX_CROP_PIXELS, UsageError, _parse_crop, load_config, main
 from coordfuse.dataset import DataCube, LabelMap, load_cube, load_labels, save_cube, save_labels
 from coordfuse.evaluation import CrfParams, dense_energy
@@ -236,6 +238,8 @@ def test_synth_outputs_are_deterministic(tmp_path):
         ["--overlap", "1"],
         ["--noise", "nan"],
         ["--noise", "inf"],
+        # 2**33 values, more than load_cube accepts; rejected before any array is made.
+        ["--height", "65536", "--width", "65536", "--bands", "2"],
     ],
 )
 def test_synth_bad_arguments_exit_1(tmp_path, capsys, args):
@@ -243,6 +247,18 @@ def test_synth_bad_arguments_exit_1(tmp_path, capsys, args):
     assert main(["synth", str(cube), str(tmp_path / "l.hlbl"), *args]) == 1
     assert "usage error" in capsys.readouterr().err
     assert not cube.exists()
+
+
+def test_programming_errors_are_not_data_errors(tiny_experiment, tmp_path, monkeypatch):
+    # No data path raises KeyError: one escaping from training is a bug, and
+    # exit 2 "data error" would blame the input for it.
+    def broken_train(*args, **kwargs):
+        raise KeyError("conv.weights")
+
+    monkeypatch.setattr(cli_module, "train", broken_train)
+    with pytest.raises(KeyError, match="conv.weights"):
+        main(["run", "--config", str(tiny_experiment["config"]),
+              "--out-dir", str(tmp_path / "out")])
 
 
 def test_synth_emitted_config_is_loadable(tmp_path):
@@ -448,9 +464,43 @@ def test_energy_zero_weights_equal_unary(tiny_experiment, tmp_path, capsys):
     unary = 0.0
     for r in range(1, 5):
         for c in range(1, 5):
-            probs, _ = forward(model, norm.values[r, c], coord_features(r, c, 12, 12))
+            spectrum, xy = norm.values[r, c][None], coord_features(r, c, 12, 12)[None]
+            probs = forward(model, spectrum, xy)[0][0]
             unary += -math.log(max(probs[int(np.argmax(probs))], 1e-12))
     assert abs(got - unary) < 5e-7  # printed value is rounded to 6 digits
+
+
+# function -> (defining module, {argument position: ndim of one sample})
+BATCHED_ARGS = {
+    "conv1d_forward": ("layers", {1: 1}),
+    "maxpool1d_forward": ("layers", {0: 2}),
+    "dense_forward": ("layers", {1: 1}),
+    "forward": ("model", {1: 1, 2: 1}),
+}
+
+
+def test_every_forward_call_carries_the_batch_axis(tiny_experiment, tmp_path, monkeypatch):
+    modules = [importlib.import_module(f"coordfuse.{m}")
+               for m in ("dataset", "layers", "model", "optimizer", "evaluation", "cli")]
+    extra_axes = []
+    for name, (home, sample_ndims) in BATCHED_ARGS.items():
+        original = getattr(importlib.import_module(f"coordfuse.{home}"), name)
+
+        def spy(*args, _fn=original, _name=name, _ndims=sample_ndims, **kwargs):
+            extra_axes.append((_name, [np.ndim(args[i]) - d for i, d in _ndims.items()]))
+            return _fn(*args, **kwargs)
+
+        # Every namespace that binds the function, as a profiler would patch it.
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, spy)
+
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(tiny_experiment["config"]), "--out-dir", str(out)]) == 0
+    assert main(["energy", "--config", str(tiny_experiment["config"]), "--out-dir", str(out),
+                 "--crop", "0,0,4,4"]) == 0
+    assert {name for name, _ in extra_axes} == set(BATCHED_ARGS)
+    assert [(name, axes) for name, axes in extra_axes if axes != [1] * len(axes)] == []
 
 
 def test_energy_crop_errors(tiny_experiment, capsys):

@@ -61,13 +61,13 @@ def test_conv_matches_naive_loop():
         layer = Conv1d(rng.normal(size=(4, 5)), rng.normal(size=4))
         x = rng.normal(size=17)
         ref = naive_conv(layer.weights, layer.bias, x)
-        assert np.allclose(conv1d_forward(layer, x), ref, rtol=1e-12, atol=1e-14)
+        assert np.allclose(conv1d_forward(layer, x[None])[0], ref, rtol=1e-12, atol=1e-14)
 
 
 def test_conv_output_shape_and_sign():
     layer, x = draw_conv_case(0, n_filters=6, kernel=10, length=220)
-    out = conv1d_forward(layer, x)
-    assert out.shape == (6, 211)
+    out = conv1d_forward(layer, x[None])
+    assert out.shape == (1, 6, 211)
     assert out.min() >= 0.0
 
 
@@ -75,8 +75,8 @@ def test_conv_input_validation():
     layer = Conv1d(np.ones((2, 4)), np.zeros(2))
     with pytest.raises(ShapeError):
         conv1d_forward(layer, np.ones((3, 3)))
-    with pytest.raises(ShapeError):
-        conv1d_forward(layer, np.ones(3))
+    with pytest.raises(ShapeError):  # a lone spectrum is not a stack
+        conv1d_forward(layer, np.ones(8))
 
 
 def test_conv_gradients_match_finite_differences():
@@ -85,9 +85,9 @@ def test_conv_gradients_match_finite_differences():
         proj = create_rng(seed + 77).normal(size=(3, 9))
 
         def loss():
-            return float((conv1d_forward(layer, x) * proj).sum())
+            return float((conv1d_forward(layer, x[None])[0] * proj).sum())
 
-        out = conv1d_forward(layer, x)
+        out = conv1d_forward(layer, x[None])[0]
         d_weights, d_bias = conv1d_backward(layer, x, out, proj)
         assert norm_rel_err(fd_wrt(loss, layer.weights), d_weights) < LAYER_TOL
         assert norm_rel_err(fd_wrt(loss, layer.bias), d_bias) < LAYER_TOL
@@ -95,7 +95,7 @@ def test_conv_gradients_match_finite_differences():
 
 def test_conv_backward_shape_validation():
     layer, x = draw_conv_case(1)
-    out = conv1d_forward(layer, x)
+    out = conv1d_forward(layer, x[None])[0]
     with pytest.raises(ShapeError):
         conv1d_backward(layer, x, out, np.zeros((3, 5)))
 
@@ -126,14 +126,15 @@ def naive_route(shape, idx, grad):
 
 def pool_route(x, grad, width=2, stride=2):
     """maxpool1d_backward of `grad` through the forward of `x`."""
-    return maxpool1d_backward(x, maxpool1d_forward(x, width, stride), grad, width, stride)
+    pooled = maxpool1d_forward(x[None], width, stride)[0]
+    return maxpool1d_backward(x, pooled, grad, width, stride)
 
 
 @pytest.mark.parametrize("width,stride,length", [(2, 2, 10), (2, 2, 11), (3, 2, 12)])
 def test_pool_matches_naive_loop(width, stride, length):
     for seed in range(5):
         x = create_rng(seed).normal(size=(4, length))
-        pooled = maxpool1d_forward(x, width, stride)
+        pooled = maxpool1d_forward(x[None], width, stride)[0]
         ref_pooled, ref_idx = naive_pool(x, width, stride)
         assert np.array_equal(pooled, ref_pooled)
         grad = create_rng(seed + 50).normal(size=pooled.shape)
@@ -144,23 +145,25 @@ def test_pool_matches_naive_loop(width, stride, length):
 
 def test_pool_tie_takes_earliest():
     x = np.array([[1.0, 1.0, 0.5, 2.0]])
-    assert np.array_equal(maxpool1d_forward(x), [[1.0, 2.0]])
+    assert np.array_equal(maxpool1d_forward(x[None])[0], [[1.0, 2.0]])
     assert np.array_equal(pool_route(x, np.array([[10.0, 20.0]])), [[10.0, 0.0, 0.0, 20.0]])
 
 
 def test_pool_drops_trailing_remainder():
     x = np.array([[1.0, 2.0, 9.0]])
-    assert maxpool1d_forward(x).shape == (1, 1)
+    assert maxpool1d_forward(x[None]).shape == (1, 1, 1)
     assert np.array_equal(pool_route(x, np.array([[4.0]])), [[0.0, 4.0, 0.0]])
 
 
 def test_pool_validation():
     with pytest.raises(ShapeError):
         maxpool1d_forward(np.ones(5))
+    with pytest.raises(ShapeError):  # one sample's maps are not a stack
+        maxpool1d_forward(np.ones((2, 4)))
     with pytest.raises(ShapeError):
-        maxpool1d_forward(np.ones((2, 1)), width=2)
+        maxpool1d_forward(np.ones((1, 2, 1)), width=2)
     with pytest.raises(ValueError):
-        maxpool1d_forward(np.ones((2, 4)), width=0)
+        maxpool1d_forward(np.ones((1, 2, 4)), width=0)
     x = np.ones((2, 4))
     with pytest.raises(ShapeError):
         maxpool1d_backward(np.ones((1, 2, 4)), np.ones((2, 2)), np.ones((2, 2)))
@@ -185,9 +188,9 @@ def test_pool_gradients_match_finite_differences():
         proj = rng.normal(size=(3, 5))
 
         def loss():
-            return float((maxpool1d_forward(x) * proj).sum())
+            return float((maxpool1d_forward(x[None])[0] * proj).sum())
 
-        d_x = maxpool1d_backward(x, maxpool1d_forward(x), proj)
+        d_x = maxpool1d_backward(x, maxpool1d_forward(x[None])[0], proj)
         assert norm_rel_err(fd_wrt(loss, x), d_x) < LAYER_TOL
     assert accepted == 10
 
@@ -218,19 +221,21 @@ def test_pool_overlapping_windows_accumulate_in_window_order():
 
 def test_dense_forward_hand_case():
     layer = Dense(np.array([[1.0, 0.0], [0.0, -2.0]]), np.array([0.5, 1.0]), "identity")
-    assert np.allclose(dense_forward(layer, np.array([2.0, 3.0])), [2.5, -5.0])
+    assert np.allclose(dense_forward(layer, np.array([[2.0, 3.0]])), [[2.5, -5.0]])
     layer.activation = "relu"
-    assert np.allclose(dense_forward(layer, np.array([2.0, 3.0])), [2.5, 0.0])
+    assert np.allclose(dense_forward(layer, np.array([[2.0, 3.0]])), [[2.5, 0.0]])
 
 
 def test_dense_validation():
     layer = Dense(np.ones((3, 2)), np.zeros(2))
     with pytest.raises(ShapeError):
-        dense_forward(layer, np.ones(4))
+        dense_forward(layer, np.ones((1, 4)))
+    with pytest.raises(ShapeError):  # a lone input vector is not a stack
+        dense_forward(layer, np.ones(3))
     for activation in ("tanh", "softmax"):  # softmax is the model's, not a layer's
         bad = Dense(np.ones((3, 2)), np.zeros(2), activation)
         with pytest.raises(ValueError):
-            dense_forward(bad, np.ones(3))
+            dense_forward(bad, np.ones((1, 3)))
 
 
 def draw_dense_case(seed, in_dim=7, out_dim=5, activation="relu"):
@@ -253,9 +258,9 @@ def test_dense_gradients_match_finite_differences(activation):
         proj = create_rng(seed + 55).normal(size=5)
 
         def loss():
-            return float(dense_forward(layer, v) @ proj)
+            return float(dense_forward(layer, v[None])[0] @ proj)
 
-        out = dense_forward(layer, v)
+        out = dense_forward(layer, v[None])[0]
         d_weights, d_bias, d_inputs = dense_backward(layer, v, out, proj)
         assert norm_rel_err(fd_wrt(loss, layer.weights), d_weights) < LAYER_TOL
         assert norm_rel_err(fd_wrt(loss, layer.bias), d_bias) < LAYER_TOL
@@ -269,9 +274,9 @@ def test_softmax_cross_entropy_gradients_match_finite_differences():
         target = seed % 5
 
         def loss():
-            return cross_entropy(softmax(dense_forward(layer, v)), target)[0]
+            return cross_entropy(softmax(dense_forward(layer, v[None])[0]), target)[0]
 
-        logits = dense_forward(layer, v)
+        logits = dense_forward(layer, v[None])[0]
         _, d_logits = cross_entropy(softmax(logits), target)
         d_weights, d_bias, d_inputs = dense_backward(layer, v, logits, d_logits)
         assert norm_rel_err(fd_wrt(loss, layer.weights), d_weights) < LAYER_TOL
@@ -357,7 +362,8 @@ def test_cross_entropy_index_validation():
         cross_entropy(np.array([0.5, 0.5]), -1)
 
 
-# Stacked forward passes: an (n, ...) stack must give the row-by-row results.
+# Stacked forward passes: row j of an (n, ...) stack must give the result of
+# a one-row stack holding that row.
 STACK_RTOL = 1e-12
 STACK_ATOL = 1e-14
 
@@ -369,7 +375,7 @@ def test_conv_stack_matches_per_sample():
     out = conv1d_forward(layer, x)
     assert out.shape == (7, 4, 13)
     for i in range(7):
-        single = conv1d_forward(layer, x[i])
+        single = conv1d_forward(layer, x[i][None])[0]
         assert np.allclose(out[i], single, rtol=STACK_RTOL, atol=STACK_ATOL)
 
 
@@ -387,9 +393,10 @@ def test_conv_pooled_forward_is_the_pool_of_the_maps(width, stride):
     assert np.array_equal(pooled, maxpool1d_forward(conv1d_forward(layer, x), width, stride))
     assert 0.0 < np.mean(pooled == 0.0) < 1.0
     for i in range(5):
-        single = conv1d_forward(layer, x[i], width, stride)
-        assert np.array_equal(single, maxpool1d_forward(conv1d_forward(layer, x[i]), width, stride))
-        assert np.array_equal(pooled[i], single)
+        single = conv1d_forward(layer, x[i][None], width, stride)
+        maps = conv1d_forward(layer, x[i][None])
+        assert np.array_equal(single, maxpool1d_forward(maps, width, stride))
+        assert np.array_equal(pooled[i], single[0])
 
 
 @pytest.mark.parametrize("width,stride", POOL_WINDOWS)
@@ -397,10 +404,10 @@ def test_conv_backward_unpools_like_the_unfused_chain(width, stride):
     rng = create_rng(24)
     layer = Conv1d(rng.normal(size=(6, 5)), np.array([-3.0, -0.5, 0.0, 0.5, 3.0, -1.0]))
     x = rng.normal(size=23)
-    pooled = conv1d_forward(layer, x, width, stride)
+    pooled = conv1d_forward(layer, x[None], width, stride)[0]
     grad = rng.normal(size=pooled.shape)
     # The unfused chain: plain maps, pool routing, ReLU mask, then the products.
-    maps = conv1d_forward(layer, x)
+    maps = conv1d_forward(layer, x[None])[0]
     assert 0.0 < np.mean(maps == 0.0) < 1.0
     g = maxpool1d_backward(maps, pooled, grad, width, stride)
     g = np.where(maps > 0.0, g, 0.0)
@@ -414,7 +421,7 @@ def draw_pooled_conv_case(seed, width, stride):
     """draw_conv_case whose pool windows also hold no near tie."""
     for attempt in range(100):
         layer, x = draw_conv_case(seed + 100 * attempt, length=23)
-        maps = conv1d_forward(layer, x)
+        maps = conv1d_forward(layer, x[None])[0]
         n_windows = (maps.shape[1] - width) // stride + 1
         windows = np.sort(sliding_window_view(maps, width, axis=1)[:, ::stride][:, :n_windows])
         top = windows[..., -1]
@@ -430,11 +437,11 @@ def draw_pooled_conv_case(seed, width, stride):
 def test_pooled_conv_gradients_match_finite_differences(width, stride):
     for seed in range(5):
         layer, x = draw_pooled_conv_case(seed, width, stride)
-        pooled = conv1d_forward(layer, x, width, stride)
+        pooled = conv1d_forward(layer, x[None], width, stride)[0]
         proj = create_rng(seed + 88).normal(size=pooled.shape)
 
         def loss():
-            return float((conv1d_forward(layer, x, width, stride) * proj).sum())
+            return float((conv1d_forward(layer, x[None], width, stride)[0] * proj).sum())
 
         d_weights, d_bias = conv1d_backward(layer, x, pooled, proj, width, stride)
         assert norm_rel_err(fd_wrt(loss, layer.weights), d_weights) < LAYER_TOL
@@ -457,7 +464,7 @@ def test_pool_stack_matches_per_sample_with_ties(width, stride, length):
     pooled = maxpool1d_forward(x, width, stride)
     grads = create_rng(21).normal(size=pooled.shape)
     for i in range(6):
-        single_pooled = maxpool1d_forward(x[i], width, stride)
+        single_pooled = maxpool1d_forward(x[i][None], width, stride)[0]
         ref_pooled, ref_idx = naive_pool(x[i], width, stride)
         assert np.array_equal(pooled[i], single_pooled)
         assert np.array_equal(single_pooled, ref_pooled)
@@ -475,7 +482,7 @@ def test_dense_stack_matches_per_sample(activation):
     out = dense_forward(layer, v)
     assert out.shape == (9, 5)
     for i in range(9):
-        single = dense_forward(layer, v[i])
+        single = dense_forward(layer, v[i][None])[0]
         assert np.allclose(out[i], single, rtol=STACK_RTOL, atol=STACK_ATOL)
 
 

@@ -118,8 +118,8 @@ def test_baseline_has_no_coordinate_branch():
 def test_forward_returns_distribution():
     model = small_model()
     rng = create_rng(4)
-    probs, _ = forward(model, rng.random(16), rng.random(2))
-    assert probs.shape == (3,)
+    probs, _ = forward(model, rng.random((1, 16)), rng.random((1, 2)))
+    assert probs.shape == (1, 3)
     assert probs.min() >= 0.0
     assert abs(probs.sum() - 1.0) < 1e-12
 
@@ -127,40 +127,42 @@ def test_forward_returns_distribution():
 def test_forward_validation():
     model = small_model()
     with pytest.raises(ShapeError):
-        forward(model, np.ones(15), np.zeros(2))
+        forward(model, np.ones((1, 15)), np.zeros((1, 2)))
     with pytest.raises(ShapeError):
-        forward(model, np.ones(16), np.zeros(3))
+        forward(model, np.ones((1, 16)), np.zeros((1, 3)))
+    with pytest.raises(ShapeError):  # a lone pixel is not a stack
+        forward(model, np.ones(16), np.zeros(2))
 
 
 def test_baseline_ignores_coordinates():
     model = small_model(baseline=True)
-    x = create_rng(1).random(16)
-    p1, _ = forward(model, x, np.array([0.0, 0.0]))
-    p2, _ = forward(model, x, np.array([1.0, 1.0]))
+    x = create_rng(1).random((1, 16))
+    p1, _ = forward(model, x, np.array([[0.0, 0.0]]))
+    p2, _ = forward(model, x, np.array([[1.0, 1.0]]))
     assert np.array_equal(p1, p2)
 
 
 def test_dual_branch_uses_coordinates():
     model = small_model()
-    x = create_rng(1).random(16)
-    p1, _ = forward(model, x, np.array([0.1, 0.1]))
-    p2, _ = forward(model, x, np.array([0.9, 0.9]))
+    x = create_rng(1).random((1, 16))
+    p1, _ = forward(model, x, np.array([[0.1, 0.1]]))
+    p2, _ = forward(model, x, np.array([[0.9, 0.9]]))
     assert not np.array_equal(p1, p2)
 
 
 def test_backward_label_range():
     model = small_model()
-    _, cache = forward(model, np.ones(16), np.zeros(2))
+    _, cache = forward(model, np.ones((1, 16)), np.zeros((1, 2)))
     for bad in (0, 4):
         with pytest.raises(ValueError):
-            backward(model, cache, bad)
+            backward(model, cache.row(0), bad)
 
 
 def test_backward_keys_match_parameters():
     for baseline in (False, True):
         model = small_model(baseline=baseline)
-        _, cache = forward(model, np.ones(16), np.full(2, 0.5))
-        _, grads = backward(model, cache, 2)
+        _, cache = forward(model, np.ones((1, 16)), np.full((1, 2), 0.5))
+        _, grads = backward(model, cache.row(0), 2)
         assert list(grads) == list(model.parameters())
         for name, g in grads.items():
             assert g.shape == model.parameters()[name].shape, name
@@ -170,16 +172,19 @@ def test_backward_reaches_the_conv_helpers_through_the_layers_module(monkeypatch
     # A per-layer profiler counts the conv backward's nested calls by patching
     # these names in coordfuse.layers; a local binding would hide them.
     model = small_model()
-    _, cache = forward(model, create_rng(1).random(16), np.full(2, 0.5))
+    _, cache = forward(model, create_rng(1).random((1, 16)), np.full((1, 2), 0.5))
     calls = {}
     for name in ("conv1d_forward", "maxpool1d_backward"):
         def counted(*args, _fn=getattr(layers_module, name), _name=name, **kwargs):
-            calls[_name] = calls.get(_name, 0) + 1
+            calls.setdefault(_name, []).append(args)
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(layers_module, name, counted)
-    backward(model, cache, 2)
-    assert calls == {"conv1d_forward": 1, "maxpool1d_backward": 1}
+    backward(model, cache.row(0), 2)
+    assert {k: len(v) for k, v in calls.items()} == {"conv1d_forward": 1, "maxpool1d_backward": 1}
+    # The recompute is a one-row stack, so the profiler counts it as one row.
+    [(_, spectra)] = calls["conv1d_forward"]
+    assert spectra.shape == (1, 16)
 
 
 def _kink_free_case(seed, baseline, keep_prob=1.0):
@@ -199,12 +204,12 @@ def _kink_free_case(seed, baseline, keep_prob=1.0):
 def test_end_to_end_gradients_match_finite_differences(baseline):
     for seed in range(10):
         model, x, coords, label = _kink_free_case(seed, baseline)
-        _, cache = forward(model, x, coords)
-        _, grads = backward(model, cache, label)
+        _, cache = forward(model, x[None], coords[None])
+        _, grads = backward(model, cache.row(0), label)
 
         def loss():
-            probs, _ = forward(model, x, coords)
-            return cross_entropy(probs, label - 1)[0]
+            probs, _ = forward(model, x[None], coords[None])
+            return cross_entropy(probs[0], label - 1)[0]
 
         for name, param in model.parameters().items():
             fd = fd_wrt(loss, param)
@@ -217,13 +222,13 @@ def test_backward_without_rng_matches_finite_differences():
     for baseline in (False, True):
         for seed in range(3):
             model, x, coords, label = _kink_free_case(seed, baseline, keep_prob=0.5)
-            probs, cache = forward(model, x, coords)
-            loss, grads = backward(model, cache, label)
+            probs, cache = forward(model, x[None], coords[None])
+            loss, grads = backward(model, cache.row(0), label)
             assert cache.drop_mask is None
-            assert loss == cross_entropy(probs, label - 1)[0]
+            assert loss == cross_entropy(probs[0], label - 1)[0]
 
             def loss_fn():
-                return cross_entropy(forward(model, x, coords)[0], label - 1)[0]
+                return cross_entropy(forward(model, x[None], coords[None])[0][0], label - 1)[0]
 
             for name, param in model.parameters().items():
                 fd = fd_wrt(loss_fn, param)
@@ -233,10 +238,11 @@ def test_backward_without_rng_matches_finite_differences():
 def test_dropout_mask_gates_spectral_gradient():
     model = small_model(keep_prob=0.5)
     rng = create_rng(12)
-    x, coords = rng.random(16), rng.random(2)
+    x, coords = rng.random((1, 16)), rng.random((1, 2))
     _, cache = forward(model, x, coords, rng)
-    _, grads = backward(model, cache, 1)
-    dead = cache.drop_mask == 0.0
+    row = cache.row(0)
+    _, grads = backward(model, row, 1)
+    dead = row.drop_mask == 0.0
     assert dead.any()
     # dropped fc units pass no gradient to their bias
     assert not grads["fc.bias"][dead].any()
@@ -252,8 +258,8 @@ def test_predict_and_predict_many_agree():
     many = predict_many(model, feats, coords)
     assert many.shape == (8,)
     for i in range(8):
-        probs, _ = forward(model, feats[i], coords[i])
-        assert many[i] == np.argmax(probs) + 1
+        probs, _ = forward(model, feats[i][None], coords[i][None])
+        assert many[i] == np.argmax(probs[0]) + 1
     assert set(many) <= {1, 2, 3}
     with pytest.raises(ShapeError):
         predict_many(model, feats, coords[:4])
@@ -271,8 +277,8 @@ def test_checkpoint_round_trip(tmp_path, baseline):
     ):
         assert an == bn
         assert np.array_equal(a, b)
-    x = create_rng(0).random(16)
-    c = np.array([0.25, 0.5])
+    x = create_rng(0).random((1, 16))
+    c = np.array([[0.25, 0.5]])
     assert np.array_equal(forward(model, x, c)[0], forward(loaded, x, c)[0])
 
 
@@ -405,15 +411,15 @@ def test_forward_stack_matches_single_pixel_forwards(baseline):
     assert probs.shape == (9, 3)
     assert cache.drop_mask is None  # no rng, no dropout mask
     for i in range(9):
-        single, _ = forward(model, feats[i], coords[i])
-        assert np.allclose(probs[i], single, rtol=STACK_RTOL, atol=STACK_ATOL)
+        single, _ = forward(model, feats[i][None], coords[i][None])
+        assert np.allclose(probs[i], single[0], rtol=STACK_RTOL, atol=STACK_ATOL)
 
 
 @pytest.mark.parametrize("bands", [30, 220])
 @pytest.mark.parametrize("baseline", [False, True], ids=["dual", "baseline"])
 def test_backward_of_a_stacked_row_matches_the_single_pixel_backward(baseline, bands):
     # Training runs one stacked forward per batch and backward on each row of
-    # its cache; the finite-difference checks cover the single-pixel forward.
+    # its cache; the finite-difference checks run on one-row stacks.
     cfg = ModelConfig(num_bands=bands, num_classes=16, keep_prob=0.75, baseline=baseline)
     model = build(cfg, create_rng(3))
     rng = create_rng(4)
@@ -427,7 +433,8 @@ def test_backward_of_a_stacked_row_matches_the_single_pixel_backward(baseline, b
         for name, value in vars(row).items():
             stacked = getattr(cache, name)
             assert value is None if stacked is None else np.shares_memory(value, stacked)
-        _, single = forward(model, feats[j], coords[j], single_rng)
+        _, single = forward(model, feats[j][None], coords[j][None], single_rng)
+        single = single.row(0)
         assert np.array_equal(row.drop_mask, single.drop_mask)
         loss, grads = backward(model, row, int(labels[j]))
         ref_loss, ref_grads = backward(model, single, int(labels[j]))
@@ -465,7 +472,7 @@ def test_forward_many_is_bitwise_the_unfused_forward(baseline):
     assert np.array_equal(forward_many(model, feats, coords), ref)
 
 
-@pytest.mark.parametrize("spectral_shape", [(16,), (5, 16)])
+@pytest.mark.parametrize("spectral_shape", [(1, 16), (5, 16)])
 def test_forward_cache_holds_no_full_feature_map(spectral_shape):
     model = small_model(keep_prob=0.75)
     rng = create_rng(10)
@@ -496,7 +503,7 @@ def test_forward_many_at_chunk_boundaries(monkeypatch):
     rng = create_rng(8)
     feats = rng.random((2 * rows + 1, 16))
     coords = rng.random((2 * rows + 1, 2))
-    single = np.array([forward(model, f, c)[0] for f, c in zip(feats, coords)])
+    single = np.array([forward(model, f[None], c[None])[0][0] for f, c in zip(feats, coords)])
 
     chunks = []
 
