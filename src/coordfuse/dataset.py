@@ -31,7 +31,8 @@ LABEL_MAGIC = b"HLB1"
 # Guard against bogus headers allocating huge buffers.
 MAX_ELEMENTS = 2**32
 
-# Payload reads and synthetic noise draws go through a buffer of this size.
+# Payload reads and writes and synthetic noise draws go through a buffer of
+# this size.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -208,11 +209,21 @@ def load_cube(path) -> DataCube:
     return DataCube(_read_raster(path, CUBE_MAGIC, 3, "<f4", np.float64))
 
 
-def save_cube(cube: DataCube, path) -> None:
+def _write_raster(path, magic: bytes, values: np.ndarray, dtype: str) -> None:
+    """Write magic, one u32 per dimension of `values`, then its values
+    row-major as `dtype`, converted and written in blocks of at most
+    `_BLOCK_BYTES`: a contiguous `values` gets one block beside it."""
+    flat = values.reshape(-1)
+    per_block = _BLOCK_BYTES // np.dtype(dtype).itemsize
     with atomic_write(path) as f:
-        f.write(CUBE_MAGIC)
-        f.write(struct.pack("<III", cube.height, cube.width, cube.bands))
-        f.write(np.ascontiguousarray(cube.values, dtype="<f4"))
+        f.write(magic)
+        f.write(struct.pack(f"<{values.ndim}I", *values.shape))
+        for start in range(0, flat.size, per_block):
+            f.write(flat[start : start + per_block].astype(dtype))
+
+
+def save_cube(cube: DataCube, path) -> None:
+    _write_raster(path, CUBE_MAGIC, cube.values, "<f4")
 
 
 def load_labels(path) -> LabelMap:
@@ -224,10 +235,7 @@ def load_labels(path) -> LabelMap:
 def save_labels(labels: LabelMap, path) -> None:
     if labels.labels.max(initial=0) > np.iinfo(np.uint16).max:
         raise ValueError("labels exceed the u16 range of the file format")
-    with atomic_write(path) as f:
-        f.write(LABEL_MAGIC)
-        f.write(struct.pack("<II", labels.height, labels.width))
-        f.write(np.ascontiguousarray(labels.labels, dtype="<u2"))
+    _write_raster(path, LABEL_MAGIC, labels.labels, "<u2")
 
 
 def from_csv(path) -> tuple[DataCube, LabelMap]:
@@ -386,6 +394,22 @@ def extract_samples(cube: DataCube, labels: LabelMap, indices: np.ndarray) -> Sa
     )
 
 
+def _nearest_seed(height: int, width: int, seed_rows, seed_cols) -> np.ndarray:
+    """(height, width) index of each pixel's nearest seed in squared distance,
+    ties to the lowest index. Seeds go one at a time against a running best,
+    so the working set is a few (height, width) arrays for any seed count."""
+    rows = np.arange(height)[:, None]
+    cols = np.arange(width)[None, :]
+    best = np.full((height, width), np.iinfo(np.int64).max)
+    nearest = np.zeros((height, width), dtype=np.int64)
+    for k, (r, c) in enumerate(zip(seed_rows, seed_cols)):
+        d2 = (rows - r) ** 2 + (cols - c) ** 2
+        closer = d2 < best  # strict: an equal distance keeps the earlier seed
+        nearest[closer] = k
+        np.minimum(best, d2, out=best)
+    return nearest
+
+
 def generate_synthetic(
     rng: np.random.Generator,
     height: int,
@@ -420,20 +444,14 @@ def generate_synthetic(
     if not 0.0 <= noise < math.inf:
         raise ValueError(f"noise must be finite and >= 0, got {noise}")
 
-    grid = np.stack(
-        np.meshgrid(np.arange(height), np.arange(width), indexing="ij"), axis=-1
-    ).reshape(-1, 2)
     # Redraw seed pixels until every region is big enough to split later.
     min_region = 3
     for _ in range(100):
         chosen = rng.choice(height * width, size=n_classes, replace=False)
-        seeds = grid[chosen]
-        d2 = ((grid[:, None, :] - seeds[None, :, :]) ** 2).sum(axis=2)
-        assignment = d2.argmin(axis=1)  # ties go to the lowest class id
-        sizes = np.bincount(assignment, minlength=n_classes)
+        assignment = _nearest_seed(height, width, *np.divmod(chosen, width))
+        sizes = np.bincount(assignment.ravel(), minlength=n_classes)
         if sizes.min() >= min(min_region, (height * width) // n_classes):
             break
-    labels = (assignment + 1).reshape(height, width)
 
     prototypes = rng.random((n_classes, bands))
     prototypes = prototypes.mean(axis=0) + (1.0 - overlap) * (
@@ -444,7 +462,7 @@ def generate_synthetic(
         a, b = sorted(int(i) for i in largest)
         prototypes[b] = prototypes[a]
 
-    values = prototypes[assignment].reshape(height, width, bands)
+    values = prototypes[assignment]
     # Noise is drawn block by block into one buffer, in the same order as a
     # single (height, width, bands) draw, and added in place.
     flat_values = values.reshape(-1)
@@ -456,4 +474,4 @@ def generate_synthetic(
         block *= noise
         flat_values[start : start + block.size] += block
     np.clip(values, 0.0, 1.0, out=values)
-    return DataCube(values), LabelMap(labels)
+    return DataCube(values), LabelMap(assignment + 1)

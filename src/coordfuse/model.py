@@ -225,7 +225,7 @@ def forward(
         raise ShapeError(f"expected coordinate features of shape {(n, 2)}, got {coords.shape}")
 
     pooled = conv1d_forward(model.conv, spectral, cfg.pool_width, cfg.pool_stride)
-    flat = pooled.reshape(n, -1)  # filter-major, positions within a filter contiguous
+    flat = pooled.reshape(n, cfg.flat_dim)  # filter-major, positions within a filter contiguous
     fc_out = dense_forward(model.fc, flat)
     o1, drop_mask = dropout(cfg.keep_prob, rng, fc_out)
 
@@ -313,20 +313,29 @@ def _chunk_rows(cfg: ModelConfig, input_bytes: int) -> int:
     return max(1, max(_CHUNK_FLOOR_BYTES, input_bytes // 8) // row_bytes)
 
 
-def forward_many(
-    model: DualBranchModel, features: np.ndarray, coords: np.ndarray
-) -> np.ndarray:
-    """(n, K) class distributions, without dropout, for stacked (n, B) and
-    (n, 2) inputs, one batched forward per chunk of rows (see _chunk_rows)."""
+def _forward_chunks(model: DualBranchModel, features, coords):
+    """(row slice, class distributions) for each chunk of rows of stacked
+    (n, B) and (n, 2) inputs: one batched forward without dropout per chunk
+    (see _chunk_rows)."""
     features = np.asarray(features, dtype=np.float64)
     coords = np.asarray(coords, dtype=np.float64)
     if len(features) != len(coords):
         raise ShapeError("features and coords row counts disagree")
-    out = np.empty((len(features), model.config.num_classes))
     rows = _chunk_rows(model.config, features.nbytes)
     for start in range(0, len(features), rows):
         chunk = slice(start, start + rows)
-        out[chunk], _ = forward(model, features[chunk], coords[chunk])
+        probs, _ = forward(model, features[chunk], coords[chunk])
+        yield chunk, probs
+
+
+def forward_many(
+    model: DualBranchModel, features: np.ndarray, coords: np.ndarray
+) -> np.ndarray:
+    """(n, K) class distributions, without dropout, for stacked (n, B) and
+    (n, 2) inputs."""
+    out = np.empty((len(features), model.config.num_classes))
+    for chunk, probs in _forward_chunks(model, features, coords):
+        out[chunk] = probs
     return out
 
 
@@ -334,8 +343,12 @@ def predict_many(
     model: DualBranchModel, features: np.ndarray, coords: np.ndarray
 ) -> np.ndarray:
     """Vector of 1-based predictions for stacked (n, B) and (n, 2) inputs;
-    ties break toward the lowest id."""
-    return np.argmax(forward_many(model, features, coords), axis=1) + 1
+    ties break toward the lowest id. Each chunk's distributions are reduced
+    to its labels, so no (n, K) array is made."""
+    out = np.empty(len(features), dtype=np.int64)
+    for chunk, probs in _forward_chunks(model, features, coords):
+        out[chunk] = np.argmax(probs, axis=1) + 1
+    return out
 
 
 def save_checkpoint(model: DualBranchModel, path) -> None:

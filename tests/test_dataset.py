@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import struct
@@ -243,13 +244,34 @@ def test_save_cube_failing_part_way_keeps_the_old_file(tmp_path, monkeypatch):
     path = tmp_path / "c.hcube"
     save_cube(DataCube(np.zeros((2, 2, 3))), path)
     old = path.read_bytes()
+    real_atomic_write = dataset_module.atomic_write
+    written_before_failure = []
 
-    def payload_fails(*args, **kwargs):  # after the header is written
-        raise MemoryError("payload conversion failed")
+    class SecondBlockFails:
+        """The new file, whose second payload block fails to write."""
 
-    monkeypatch.setattr(dataset_module.np, "ascontiguousarray", payload_fails)
-    with pytest.raises(MemoryError):
-        save_cube(DataCube(np.ones((2, 2, 3))), path)
+        def __init__(self, f):
+            self.f, self.blocks = f, 0
+
+        def write(self, data):
+            if isinstance(data, np.ndarray):  # the header is written as bytes
+                self.blocks += 1
+                if self.blocks == 2:
+                    written_before_failure.append(self.f.tell())
+                    raise OSError("no space left on device")
+            return self.f.write(data)
+
+    @contextlib.contextmanager
+    def failing_write(target):
+        with real_atomic_write(target) as f:
+            yield SecondBlockFails(f)
+
+    monkeypatch.setattr(dataset_module, "atomic_write", failing_write)
+    per_block = dataset_module._BLOCK_BYTES // 4
+    with pytest.raises(OSError, match="no space left"):
+        save_cube(DataCube(np.ones((1, 1, per_block + 5))), path)
+    # The header and one whole payload block were in the new file.
+    assert written_before_failure == [16 + 4 * per_block]
     assert path.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == ["c.hcube"]
 
@@ -567,13 +589,19 @@ def test_ingestion_memory_is_bounded(tmp_path):
     extract_samples(normalize_cube(warm_cube), warm_labels, np.argwhere(warm_labels.labels))
 
     (cube, labels), peak = _traced_peak(generate_synthetic, create_rng(5), h, w, b, k)
-    distances = h * w * k * 8  # int64 squared distance of every pixel to every seed
-    # The cube, one noise-draw buffer, the distances and the per-pixel ids.
-    assert peak <= cube.values.nbytes + MIB + 2 * distances
+    # The cube, one noise-draw buffer and a few (h, w) int64 arrays: the
+    # running nearest-seed distances and ids, one seed's distances, the labels.
+    assert peak <= cube.values.nbytes + MIB + 4 * h * w * 8
+    # Many classes on a few bands: an int64 distance from every pixel to every
+    # seed took this shape to 25.0 MiB, 12.5 times its cube.
+    (wide, _), peak = _traced_peak(generate_synthetic, create_rng(5), 256, 256, 4, 16)
+    assert peak <= wide.values.nbytes + MIB + 4 * 256 * 256 * 8
+    del wide
 
     path = tmp_path / "c.hcube"
     _, peak = _traced_peak(save_cube, cube, path)
-    assert peak <= cube.values.nbytes // 2 + 64 * 1024  # the float32 copy
+    assert cube.values.nbytes // 2 > 2 * MIB  # several write blocks
+    assert peak <= MIB + 64 * 1024  # one float32 block
 
     loaded, peak = _traced_peak(load_cube, path)
     payload = loaded.values.nbytes // 2

@@ -496,6 +496,14 @@ def test_forward_rejects_mismatched_rows():
         forward(model, np.ones((2, 4, 16)), np.zeros((2, 4, 2)))
 
 
+@pytest.mark.parametrize("baseline", [False, True])
+def test_forward_of_an_empty_stack(baseline):
+    model = small_model(baseline=baseline)
+    probs, cache = forward(model, np.empty((0, 16)), np.empty((0, 2)))
+    assert probs.shape == (0, 3)
+    assert cache.flat.shape == (0, model.config.flat_dim)
+
+
 def test_forward_many_at_chunk_boundaries(monkeypatch):
     model = small_model(keep_prob=0.75)
     rows = model_module._chunk_rows(model.config, 16 * 8)
@@ -515,12 +523,19 @@ def test_forward_many_at_chunk_boundaries(monkeypatch):
     for n in (0, 1, rows - 1, rows, rows + 1, 2 * rows + 1):
         # Inputs this small stay under the 1 MiB floor, so every call uses `rows`.
         assert model_module._chunk_rows(model.config, feats[:n].nbytes) == rows
+        expected_chunks = [rows] * (n // rows) + ([n % rows] if n % rows else [])
         chunks.clear()
         probs = forward_many(model, feats[:n], coords[:n])
         assert probs.shape == (n, 3)
-        assert chunks == [rows] * (n // rows) + ([n % rows] if n % rows else [])
+        assert chunks == expected_chunks
         assert np.allclose(probs, single[:n], rtol=STACK_RTOL, atol=STACK_ATOL)
         assert np.array_equal(np.argmax(probs, axis=1), np.argmax(single[:n], axis=1))
+        # predict_many runs the same chunks and keeps only their labels.
+        chunks.clear()
+        preds = predict_many(model, feats[:n], coords[:n])
+        assert chunks == expected_chunks
+        assert preds.dtype == np.int64
+        assert np.array_equal(preds, np.argmax(probs, axis=1) + 1)
 
 
 @pytest.mark.parametrize("n,bands,classes", [(4096, 30, 6), (8192, 220, 16)])
@@ -537,3 +552,21 @@ def test_forward_many_memory_is_bounded(n, bands, classes):
         tracemalloc.stop()
     budget = max(1 << 20, feats.nbytes // 8)
     assert peak - probs.nbytes <= 1.5 * budget
+
+
+def test_predict_many_keeps_labels_only():
+    n, classes = 8192, 16
+    model = build(ModelConfig(num_bands=220, num_classes=classes), create_rng(0))
+    rng = create_rng(9)
+    feats = rng.random((n, 220))
+    coords = rng.random((n, 2))
+    tracemalloc.start()
+    try:
+        preds = predict_many(model, feats, coords)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One chunk's intermediates beside the labels. Distributions for every
+    # row, n * classes float64 values (1 MiB here), do not fit beside them.
+    budget = max(1 << 20, feats.nbytes // 8)
+    assert peak - preds.nbytes <= budget
