@@ -1,17 +1,15 @@
 """Network primitives with explicit forward and backward passes.
 
-Forward passes take a stack of samples along a leading batch axis: (n, length)
-spectra, (n, n_filters, length) feature maps, (n, in_dim) dense inputs. A lone
-sample is a one-row stack.
-
-Backward passes take one row of a stacked forward. Each returns a tuple: the
-parameter gradients, then the gradient with respect to the layer input (the
-conv, the first layer, returns only its parameter gradients). The conv's
-backward takes the same pool window as its forward and routes the pooled
-gradient itself. Each is validated against central finite differences in the
-test suite. Max pooling keeps no argmax: its forward returns only the window
-maxima, and its backward finds the earliest column holding each maximum from
-the maps and the maxima.
+Every pass takes a stack of samples along a leading batch axis: (n, length)
+spectra, (n, n_filters, length) feature maps, (n, in_dim) dense inputs, (n, K)
+distributions. A lone sample is a one-row stack; one without the axis raises
+ShapeError. Each backward returns a tuple: the parameter gradients summed over
+the rows, then the per-row gradient with respect to the layer input (the conv,
+the first layer, returns only its parameter gradients). The conv's backward
+takes its forward's pool window and routes the pooled gradient itself. Each is
+checked against central finite differences in the test suite. Max pooling keeps
+no argmax: its backward finds the earliest column holding each maximum from the
+maps and the maxima.
 """
 
 from __future__ import annotations
@@ -95,30 +93,25 @@ def conv1d_forward(layer: Conv1d, x: np.ndarray, width: int = 1, stride: int = 1
 
 
 def conv1d_backward(
-    layer: Conv1d,
-    x: np.ndarray,
-    pooled: np.ndarray,
-    grad_out: np.ndarray,
-    width: int = 1,
-    stride: int = 1,
+    layer: Conv1d, x: np.ndarray, pooled: np.ndarray, grad_out: np.ndarray,
+    width: int = 1, stride: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(d_weights, d_bias) of a scalar loss through the pooled ReLU convolution.
+    """(d_weights, d_bias), summed over the rows, of a scalar loss through
+    the pooled ReLU convolution of the (n, length) spectra `x`.
 
-    `x` is one row of a stacked forward's spectra, `pooled` the same row of
-    that conv1d_forward(layer, spectra, width, stride) and `grad_out` the
-    loss gradient at it. The plain maps are recomputed from `x` as a one-row
-    stack, and the pool routes the gradient back to them. The conv is the
-    model's first layer and nothing before it learns, so the gradient with
-    respect to `x` is not computed.
+    `pooled` is conv1d_forward(layer, x, width, stride) and `grad_out` the
+    loss gradient at it. The plain maps are recomputed from `x`, and the pool
+    routes the gradient back to them. Nothing before the conv learns, so no
+    gradient with respect to `x` is computed.
     """
     x = np.asarray(x, dtype=np.float64)
-    maps = conv1d_forward(layer, x[None])[0]  # (F, L)
+    maps = conv1d_forward(layer, x)  # (n, F, L)
     g = maxpool1d_backward(maps, pooled, grad_out, width, stride)
     g = np.where(maps > 0.0, g, 0.0)
-    return g @ _windows(x, layer.weights.shape[1]), g.sum(axis=1)
+    return (g @ _windows(x, layer.weights.shape[1])).sum(axis=0), g.sum(axis=(0, 2))
 
 
-def maxpool1d_forward(x: np.ndarray, width: int = 2, stride: int = 2) -> np.ndarray:
+def maxpool1d_forward(x: np.ndarray, width: int, stride: int) -> np.ndarray:
     """Window maxima over the last axis of an (n, n_maps, length) stack of
     feature maps.
 
@@ -141,31 +134,35 @@ def maxpool1d_forward(x: np.ndarray, width: int = 2, stride: int = 2) -> np.ndar
 
 
 def maxpool1d_backward(
-    x: np.ndarray, pooled: np.ndarray, grad_out: np.ndarray, width: int = 2, stride: int = 2
+    x: np.ndarray, pooled: np.ndarray, grad_out: np.ndarray, width: int, stride: int
 ) -> np.ndarray:
     """Route pooled gradients back to the column of `x` that held each maximum.
 
-    `x` is one sample's (n_maps, length) maps and `pooled` their row of
-    maxpool1d_forward. Ties take the earliest column of the window.
+    `x` is an (n, n_maps, length) stack of maps and `pooled` its
+    maxpool1d_forward. Ties take the earliest column of the window, and a
+    window whose maximum no column equals (a NaN) takes its last column.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"maxpool backward expects (n_maps, length) maps, got {x.shape}")
-    n_windows = (x.shape[1] - width) // stride + 1
-    if pooled.shape != (x.shape[0], n_windows) or grad_out.shape != pooled.shape:
-        raise ShapeError(
-            f"maps {x.shape} with window ({width}, {stride}) disagree with "
-            f"pooled {pooled.shape} and grad {grad_out.shape}"
-        )
+    if x.ndim != 3:
+        raise ShapeError(f"maxpool backward expects (n, n_maps, length) maps, got {x.shape}")
+    n_windows = (x.shape[-1] - width) // stride + 1
+    if pooled.shape != (*x.shape[:2], n_windows) or grad_out.shape != pooled.shape:
+        raise ShapeError(f"maps {x.shape} with window ({width}, {stride}) disagree with "
+                         f"pooled {pooled.shape} and grad {grad_out.shape}")
     span = stride * (n_windows - 1) + 1
-    # From the last tap to the first, so the earliest column holding the maximum wins.
-    idx = np.full(pooled.shape, width - 1, dtype=np.intp)
-    for k in range(width - 2, -1, -1):
-        idx = np.where(x[:, k : k + span : stride] == pooled, k, idx)
-    idx += np.arange(n_windows) * stride
+    # Each tap claims the unclaimed windows whose maximum it holds, from the
+    # earliest tap on; the last tap takes the rest.
+    free = np.ones(pooled.shape, dtype=bool)
+    hits = []
+    for k in range(width - 1):
+        hits.append(free & (x[..., k : k + span : stride] == pooled))
+        free &= ~hits[-1]
+    hits.append(free)
+    # From the last tap to the first, so a column shared by overlapping
+    # windows adds their gradients in window order.
     d_x = np.zeros(x.shape, dtype=np.float64)
-    rows = np.arange(x.shape[0])[:, None]
-    np.add.at(d_x, (rows, idx), grad_out)
+    for k in range(width - 1, -1, -1):
+        d_x[..., k : k + span : stride] += np.where(hits[k], grad_out, 0.0)
     return d_x
 
 
@@ -186,22 +183,24 @@ def dense_forward(layer: Dense, v: np.ndarray) -> np.ndarray:
 def dense_backward(
     layer: Dense, v: np.ndarray, out: np.ndarray, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(d_weights, d_bias, d_inputs) of a scalar loss through a dense layer;
-    `grad_out` is the loss gradient at the layer output."""
+    """(d_weights, d_bias, d_inputs) of a scalar loss through a dense layer,
+    for an (n, in_dim) stack of inputs `v`, its outputs `out` and the loss
+    gradient `grad_out` at them."""
     v = np.asarray(v, dtype=np.float64)
-    out_dim = layer.bias.shape[0]
-    if out.shape != (out_dim,) or grad_out.shape != (out_dim,):
-        raise ShapeError(
-            f"expected output vectors of shape ({out_dim},), "
-            f"got out {out.shape} and grad {grad_out.shape}"
-        )
+    n = v.shape[:1]
+    if v.shape != n + layer.weights.shape[:1] or not (
+        out.shape == grad_out.shape == n + layer.bias.shape
+    ):
+        raise ShapeError(f"inputs {v.shape}, out {out.shape} and grad {grad_out.shape} "
+                         f"do not fit a {layer.weights.shape} layer")
     if layer.activation == "relu":
         dz = np.where(out > 0.0, grad_out, 0.0)
     elif layer.activation == "identity":
         dz = np.asarray(grad_out, dtype=np.float64)
     else:
         raise ValueError(f"unknown activation {layer.activation!r}")
-    return np.outer(v, dz), dz.copy(), layer.weights @ dz
+    # np.dot: at one row it is bitwise np.outer, and faster than `@`.
+    return np.dot(v.T, dz), dz.sum(axis=0), np.dot(dz, layer.weights.T)
 
 
 def dropout(
@@ -223,23 +222,27 @@ def dropout(
     return v * mask / keep_prob, mask
 
 
-def cross_entropy(probs: np.ndarray, class_index: int) -> tuple[float, np.ndarray]:
-    """Negative log-likelihood of `class_index` under softmax output `probs`.
-
-    Returns (loss, gradient with respect to the softmax logits), the latter
-    being probs - onehot(class_index). Probabilities below 1e-12 are clamped
-    and logged rather than producing an infinite loss.
-    """
+def cross_entropy(probs: np.ndarray, class_index: np.ndarray) -> tuple[float, np.ndarray]:
+    """Summed negative log-likelihood of each row's `class_index` under the
+    (n, K) softmax outputs `probs`, and its (n, K) gradient with respect to the
+    logits, probs - onehot(class_index). Probabilities below 1e-12 are clamped
+    rather than giving an infinite loss, with one warning per call that counts
+    them."""
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 1:
-        raise ShapeError(f"probs must be a vector, got shape {probs.shape}")
-    if not 0 <= class_index < probs.shape[0]:
-        raise ValueError(f"class index {class_index} out of range for {probs.shape[0]} classes")
-    p = probs[class_index]
-    if p < PROB_FLOOR:
-        logger.warning("clamping class probability %.3e to %.0e", p, PROB_FLOOR)
-        p = PROB_FLOOR
-    loss = -float(np.log(p))
+    class_index = np.asarray(class_index)
+    if probs.ndim != 2 or class_index.shape != probs.shape[:1]:
+        raise ShapeError(f"(n, K) probs need n indices, got {probs.shape}, {class_index.shape}")
+    bad = (class_index < 0) | (class_index >= probs.shape[1])
+    if bad.any():
+        k = probs.shape[1]
+        raise ValueError(f"class index {class_index[bad][0]} out of range for {k} classes")
+    rows = np.arange(len(probs))
+    p = probs[rows, class_index]
+    low = p < PROB_FLOOR
+    if low.any():
+        logger.warning("clamping %d class probabilities below %.0e", low.sum(), PROB_FLOOR)
+        p = np.where(low, PROB_FLOOR, p)
+    loss = -float(np.log(p).sum())
     grad = probs.copy()
-    grad[class_index] -= 1.0
+    grad[rows, class_index] -= 1.0
     return loss, grad

@@ -116,8 +116,8 @@ class DualBranchModel:
 
 @dataclass
 class ForwardCache:
-    """Every intermediate of one forward over a stack of pixels. Backward
-    needs a single-pixel cache: `row(j)` takes pixel j's out of the stack.
+    """Every intermediate of one forward over a stack of pixels, which
+    backward takes whole; `row(j)` is the one-row cache of pixel j.
     `drop_mask` is None when the forward drew no dropout mask.
     The conv's full feature maps are not kept: its backward recomputes them
     from `spectral`."""
@@ -133,10 +133,10 @@ class ForwardCache:
     probs: np.ndarray
 
     def row(self, j: int) -> "ForwardCache":
-        """The single-pixel cache of row j of a stacked forward, as views of
-        this one's arrays; a None field stays None."""
+        """The one-row cache of row j, as views of this one's arrays; a None
+        field stays None."""
         parts = vars(self).items()
-        return ForwardCache(**{k: None if v is None else v[j] for k, v in parts})
+        return ForwardCache(**{k: None if v is None else v[j : j + 1] for k, v in parts})
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -253,19 +253,16 @@ def forward(
 
 
 def backward(
-    model: DualBranchModel, cache: ForwardCache, label: int
+    model: DualBranchModel, cache: ForwardCache, labels: np.ndarray
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Cross-entropy loss of the cached forward and its gradient for every
-    parameter, keyed like parameters().
+    """Cross-entropy loss of the cached forward's rows and its gradient for
+    every parameter, keyed like parameters(), both summed over the rows.
 
     The fused vector is a plain sum, so each branch receives the full
-    upstream gradient. `label` is a 1-based class id.
+    upstream gradient. `labels` holds each row's 1-based class id.
     """
     cfg = model.config
-    if not 1 <= label <= cfg.num_classes:
-        raise ValueError(f"label {label} out of range 1..{cfg.num_classes}")
-
-    loss, d_logits = cross_entropy(cache.probs, label - 1)
+    loss, d_logits = cross_entropy(cache.probs, np.asarray(labels) - 1)
     # The head is linear: dense_backward reads only the shape of its output.
     head_w, head_b, d_fused = dense_backward(model.head, cache.fused, cache.probs, d_logits)
 
@@ -274,7 +271,7 @@ def backward(
     if cache.drop_mask is not None:
         d_fc_out = d_fused * cache.drop_mask / cfg.keep_prob
     fc_w, fc_b, d_flat = dense_backward(model.fc, cache.flat, cache.fc_out, d_fc_out)
-    pooled = cache.flat.reshape(cfg.conv_filters, cfg.pooled_len)
+    pooled = cache.flat.reshape(len(cache.flat), cfg.conv_filters, cfg.pooled_len)
     conv_w, conv_b = conv1d_backward(
         model.conv, cache.spectral, pooled, d_flat.reshape(pooled.shape),
         cfg.pool_width, cfg.pool_stride,

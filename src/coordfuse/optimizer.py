@@ -168,7 +168,7 @@ def train(
             probs, cache = forward(model, features[batch], coords[batch], rng)
             correct += int(np.count_nonzero(probs.argmax(axis=1) + 1 == labels[batch]))
             for j, i in enumerate(batch):
-                loss, sample_grads = backward(model, cache.row(j), int(labels[i]))
+                loss, sample_grads = backward(model, cache.row(j), labels[i : i + 1])
                 if not np.isfinite(loss):
                     raise NumericalError(
                         f"non-finite loss at epoch {epoch + 1}, sample {i}"

@@ -80,35 +80,36 @@ def _layer_fd_worst(seeds=10):
         accepted += 1
 
         proj = rng.normal(size=(3, 9))
-        out = conv1d_forward(conv, x[None])[0]
-        d_weights, d_bias = conv1d_backward(conv, x, out, proj)
+        out = conv1d_forward(conv, x[None])
+        d_weights, d_bias = conv1d_backward(conv, x[None], out, proj[None])
         loss = lambda: float((conv1d_forward(conv, x[None])[0] * proj).sum())
         worst = max(worst, norm_rel_err(fd_wrt(loss, conv.weights), d_weights))
         worst = max(worst, norm_rel_err(fd_wrt(loss, conv.bias), d_bias))
 
         pproj = rng.normal(size=(3, 4))
-        d_in = maxpool1d_backward(pool_in, maxpool1d_forward(pool_in[None])[0], pproj)
-        ploss = lambda: float((maxpool1d_forward(pool_in[None])[0] * pproj).sum())
+        pooled = maxpool1d_forward(pool_in[None], 2, 2)
+        d_in = maxpool1d_backward(pool_in[None], pooled, pproj[None], 2, 2)[0]
+        ploss = lambda: float((maxpool1d_forward(pool_in[None], 2, 2)[0] * pproj).sum())
         worst = max(worst, norm_rel_err(fd_wrt(ploss, pool_in), d_in))
 
         dproj = rng.normal(size=5)
-        d_out = dense_forward(dense, v[None])[0]
-        dg_weights, dg_bias, dg_inputs = dense_backward(dense, v, d_out, dproj)
+        d_out = dense_forward(dense, v[None])
+        dg_weights, dg_bias, dg_inputs = dense_backward(dense, v[None], d_out, dproj[None])
         dloss = lambda: float(dense_forward(dense, v[None])[0] @ dproj)
         worst = max(worst, norm_rel_err(fd_wrt(dloss, dense.weights), dg_weights))
         worst = max(worst, norm_rel_err(fd_wrt(dloss, dense.bias), dg_bias))
-        worst = max(worst, norm_rel_err(fd_wrt(dloss, v), dg_inputs))
+        worst = max(worst, norm_rel_err(fd_wrt(dloss, v), dg_inputs[0]))
 
         smax = Dense(rng.normal(size=(6, 4)), np.zeros(4))  # the model's linear head
         sv = rng.normal(size=6)
         target = seed % 4
-        logits = dense_forward(smax, sv[None])[0]
-        _, d_logits = cross_entropy(softmax(logits), target)
-        sg_weights, sg_bias, sg_inputs = dense_backward(smax, sv, logits, d_logits)
-        sloss = lambda: cross_entropy(softmax(dense_forward(smax, sv[None])[0]), target)[0]
+        logits = dense_forward(smax, sv[None])
+        _, d_logits = cross_entropy(softmax(logits), [target])
+        sg_weights, sg_bias, sg_inputs = dense_backward(smax, sv[None], logits, d_logits)
+        sloss = lambda: cross_entropy(softmax(dense_forward(smax, sv[None])), [target])[0]
         worst = max(worst, norm_rel_err(fd_wrt(sloss, smax.weights), sg_weights))
         worst = max(worst, norm_rel_err(fd_wrt(sloss, smax.bias), sg_bias))
-        worst = max(worst, norm_rel_err(fd_wrt(sloss, sv), sg_inputs))
+        worst = max(worst, norm_rel_err(fd_wrt(sloss, sv), sg_inputs[0]))
     assert accepted == seeds
     return worst
 
@@ -130,10 +131,10 @@ def _end_to_end_fd_worst(seeds=10):
         accepted += 1
         label = int(rng.integers(1, 4))
         _, cache = forward(model, x[None], coords[None])
-        _, grads = backward(model, cache.row(0), label)
+        _, grads = backward(model, cache, np.array([label]))
 
         def loss():
-            return cross_entropy(forward(model, x[None], coords[None])[0][0], label - 1)[0]
+            return cross_entropy(forward(model, x[None], coords[None])[0], [label - 1])[0]
 
         for name, param in model.parameters().items():
             worst = max(worst, norm_rel_err(fd_wrt(loss, param), grads[name]))

@@ -477,29 +477,57 @@ BATCHED_ARGS = {
     "dense_forward": ("layers", {1: 1}),
     "forward": ("model", {1: 1, 2: 1}),
 }
+# The same for the backward path; model.backward's cache counts by its
+# (n, K) distributions, and every listed argument must arrive positionally.
+BATCHED_BACKWARD_ARGS = {
+    "conv1d_backward": ("layers", {1: 1, 2: 2, 3: 2}),
+    "maxpool1d_backward": ("layers", {0: 2, 1: 2, 2: 2}),
+    "dense_backward": ("layers", {1: 1, 2: 1, 3: 1}),
+    "cross_entropy": ("layers", {0: 1, 1: 0}),
+    "backward": ("model", {1: 1, 2: 0}),
+}
 
 
-def test_every_forward_call_carries_the_batch_axis(tiny_experiment, tmp_path, monkeypatch):
-    modules = [importlib.import_module(f"coordfuse.{m}")
-               for m in ("dataset", "layers", "model", "optimizer", "evaluation", "cli")]
+def spy_on_batch_axes(monkeypatch, batched_args):
+    """Wrap each function of `batched_args` in every coordfuse namespace that
+    binds it, as a profiler would patch it. Returns the list that collects,
+    per call, (name, extra axes of each listed argument); an argument not
+    passed positionally reads None."""
+    modules = [importlib.import_module("coordfuse")] + [
+        importlib.import_module(f"coordfuse.{m}")
+        for m in ("dataset", "layers", "model", "optimizer", "evaluation", "cli")
+    ]
     extra_axes = []
-    for name, (home, sample_ndims) in BATCHED_ARGS.items():
+    for name, (home, sample_ndims) in batched_args.items():
         original = getattr(importlib.import_module(f"coordfuse.{home}"), name)
 
         def spy(*args, _fn=original, _name=name, _ndims=sample_ndims, **kwargs):
-            extra_axes.append((_name, [np.ndim(args[i]) - d for i, d in _ndims.items()]))
+            axes = [np.ndim(getattr(args[i], "probs", args[i])) - d if i < len(args) else None
+                    for i, d in _ndims.items()]
+            extra_axes.append((_name, axes))
             return _fn(*args, **kwargs)
 
-        # Every namespace that binds the function, as a profiler would patch it.
         for module in modules:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, spy)
+    return extra_axes
 
+
+def test_every_forward_call_carries_the_batch_axis(tiny_experiment, tmp_path, monkeypatch):
+    extra_axes = spy_on_batch_axes(monkeypatch, BATCHED_ARGS)
     out = tmp_path / "out"
     assert main(["run", "--config", str(tiny_experiment["config"]), "--out-dir", str(out)]) == 0
     assert main(["energy", "--config", str(tiny_experiment["config"]), "--out-dir", str(out),
                  "--crop", "0,0,4,4"]) == 0
     assert {name for name, _ in extra_axes} == set(BATCHED_ARGS)
+    assert [(name, axes) for name, axes in extra_axes if axes != [1] * len(axes)] == []
+
+
+def test_every_backward_call_carries_the_batch_axis(tiny_experiment, tmp_path, monkeypatch):
+    extra_axes = spy_on_batch_axes(monkeypatch, BATCHED_BACKWARD_ARGS)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(tiny_experiment["config"]), "--out-dir", str(out)]) == 0
+    assert {name for name, _ in extra_axes} == set(BATCHED_BACKWARD_ARGS)
     assert [(name, axes) for name, axes in extra_axes if axes != [1] * len(axes)] == []
 
 

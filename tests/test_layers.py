@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -87,17 +89,21 @@ def test_conv_gradients_match_finite_differences():
         def loss():
             return float((conv1d_forward(layer, x[None])[0] * proj).sum())
 
-        out = conv1d_forward(layer, x[None])[0]
-        d_weights, d_bias = conv1d_backward(layer, x, out, proj)
+        out = conv1d_forward(layer, x[None])
+        d_weights, d_bias = conv1d_backward(layer, x[None], out, proj[None])
         assert norm_rel_err(fd_wrt(loss, layer.weights), d_weights) < LAYER_TOL
         assert norm_rel_err(fd_wrt(loss, layer.bias), d_bias) < LAYER_TOL
 
 
 def test_conv_backward_shape_validation():
     layer, x = draw_conv_case(1)
-    out = conv1d_forward(layer, x[None])[0]
+    out = conv1d_forward(layer, x[None])
     with pytest.raises(ShapeError):
-        conv1d_backward(layer, x, out, np.zeros((3, 5)))
+        conv1d_backward(layer, x[None], out, np.zeros((1, 3, 5)))
+    with pytest.raises(ShapeError):  # a lone spectrum is not a stack
+        conv1d_backward(layer, x, out[0], out[0])
+    with pytest.raises(ShapeError):  # nor are one sample's pooled maps
+        conv1d_backward(layer, x[None], out[0], out[0])
 
 
 def naive_pool(x, width, stride):
@@ -109,7 +115,9 @@ def naive_pool(x, width, stride):
         for t in range(n_windows):
             window = x[f, t * stride : t * stride + width]
             best = int(np.argmax(window))  # first max wins
-            pooled[f, t] = window[best]
+            pooled[f, t] = window[best]  # NaN if the window holds one
+            if np.isnan(window).any():  # no column equals a NaN maximum: the last takes it
+                best = width - 1
             idx[f, t] = t * stride + best
     return pooled, idx
 
@@ -124,10 +132,11 @@ def naive_route(shape, idx, grad):
     return d_x
 
 
-def pool_route(x, grad, width=2, stride=2):
-    """maxpool1d_backward of `grad` through the forward of `x`."""
-    pooled = maxpool1d_forward(x[None], width, stride)[0]
-    return maxpool1d_backward(x, pooled, grad, width, stride)
+def pool_route(x, grad, width, stride):
+    """maxpool1d_backward of one sample's `grad` through the forward of its
+    maps `x`, as a one-row stack."""
+    pooled = maxpool1d_forward(x[None], width, stride)
+    return maxpool1d_backward(x[None], pooled, grad[None], width, stride)[0]
 
 
 @pytest.mark.parametrize("width,stride,length", [(2, 2, 10), (2, 2, 11), (3, 2, 12)])
@@ -145,32 +154,34 @@ def test_pool_matches_naive_loop(width, stride, length):
 
 def test_pool_tie_takes_earliest():
     x = np.array([[1.0, 1.0, 0.5, 2.0]])
-    assert np.array_equal(maxpool1d_forward(x[None])[0], [[1.0, 2.0]])
-    assert np.array_equal(pool_route(x, np.array([[10.0, 20.0]])), [[10.0, 0.0, 0.0, 20.0]])
+    assert np.array_equal(maxpool1d_forward(x[None], 2, 2)[0], [[1.0, 2.0]])
+    assert np.array_equal(pool_route(x, np.array([[10.0, 20.0]]), 2, 2), [[10.0, 0.0, 0.0, 20.0]])
 
 
 def test_pool_drops_trailing_remainder():
     x = np.array([[1.0, 2.0, 9.0]])
-    assert maxpool1d_forward(x[None]).shape == (1, 1, 1)
-    assert np.array_equal(pool_route(x, np.array([[4.0]])), [[0.0, 4.0, 0.0]])
+    assert maxpool1d_forward(x[None], 2, 2).shape == (1, 1, 1)
+    assert np.array_equal(pool_route(x, np.array([[4.0]]), 2, 2), [[0.0, 4.0, 0.0]])
 
 
 def test_pool_validation():
     with pytest.raises(ShapeError):
-        maxpool1d_forward(np.ones(5))
+        maxpool1d_forward(np.ones(5), 2, 2)
     with pytest.raises(ShapeError):  # one sample's maps are not a stack
-        maxpool1d_forward(np.ones((2, 4)))
+        maxpool1d_forward(np.ones((2, 4)), 2, 2)
     with pytest.raises(ShapeError):
-        maxpool1d_forward(np.ones((1, 2, 1)), width=2)
+        maxpool1d_forward(np.ones((1, 2, 1)), 2, 2)
     with pytest.raises(ValueError):
-        maxpool1d_forward(np.ones((1, 2, 4)), width=0)
-    x = np.ones((2, 4))
+        maxpool1d_forward(np.ones((1, 2, 4)), 0, 2)
+    x = np.ones((1, 2, 4))
+    with pytest.raises(ShapeError):  # one sample's maps are not a stack
+        maxpool1d_backward(np.ones((2, 4)), np.ones((2, 2)), np.ones((2, 2)), 2, 2)
     with pytest.raises(ShapeError):
-        maxpool1d_backward(np.ones((1, 2, 4)), np.ones((2, 2)), np.ones((2, 2)))
+        maxpool1d_backward(x, np.ones((1, 2, 3)), np.ones((1, 2, 3)), 2, 2)
     with pytest.raises(ShapeError):
-        maxpool1d_backward(x, np.ones((2, 3)), np.ones((2, 3)))
-    with pytest.raises(ShapeError):
-        maxpool1d_backward(x, np.ones((2, 2)), np.ones((2, 3)))
+        maxpool1d_backward(x, np.ones((1, 2, 2)), np.ones((1, 2, 3)), 2, 2)
+    with pytest.raises(ShapeError):  # the stacks disagree on n
+        maxpool1d_backward(x, np.ones((2, 2, 2)), np.ones((2, 2, 2)), 2, 2)
 
 
 def test_pool_gradients_match_finite_differences():
@@ -188,16 +199,16 @@ def test_pool_gradients_match_finite_differences():
         proj = rng.normal(size=(3, 5))
 
         def loss():
-            return float((maxpool1d_forward(x[None])[0] * proj).sum())
+            return float((maxpool1d_forward(x[None], 2, 2)[0] * proj).sum())
 
-        d_x = maxpool1d_backward(x, maxpool1d_forward(x[None])[0], proj)
+        d_x = maxpool1d_backward(x[None], maxpool1d_forward(x[None], 2, 2), proj[None], 2, 2)[0]
         assert norm_rel_err(fd_wrt(loss, x), d_x) < LAYER_TOL
     assert accepted == 10
 
 
 def test_pool_backward_routes_to_argmax():
     x = np.array([[1.0, 5.0, 2.0, 0.5]])
-    d_x = pool_route(x, np.array([[10.0, 20.0]]))
+    d_x = pool_route(x, np.array([[10.0, 20.0]]), 2, 2)
     assert np.array_equal(d_x, [[0.0, 10.0, 20.0, 0.0]])
 
 
@@ -236,6 +247,12 @@ def test_dense_validation():
         bad = Dense(np.ones((3, 2)), np.zeros(2), activation)
         with pytest.raises(ValueError):
             dense_forward(bad, np.ones((1, 3)))
+    with pytest.raises(ShapeError):  # a lone input vector is not a stack
+        dense_backward(layer, np.ones(3), np.ones(2), np.ones(2))
+    with pytest.raises(ShapeError):  # the stacks disagree on n
+        dense_backward(layer, np.ones((2, 3)), np.ones((1, 2)), np.ones((1, 2)))
+    with pytest.raises(ShapeError):
+        dense_backward(layer, np.ones((1, 4)), np.ones((1, 2)), np.ones((1, 2)))
 
 
 def draw_dense_case(seed, in_dim=7, out_dim=5, activation="relu"):
@@ -260,11 +277,11 @@ def test_dense_gradients_match_finite_differences(activation):
         def loss():
             return float(dense_forward(layer, v[None])[0] @ proj)
 
-        out = dense_forward(layer, v[None])[0]
-        d_weights, d_bias, d_inputs = dense_backward(layer, v, out, proj)
+        out = dense_forward(layer, v[None])
+        d_weights, d_bias, d_inputs = dense_backward(layer, v[None], out, proj[None])
         assert norm_rel_err(fd_wrt(loss, layer.weights), d_weights) < LAYER_TOL
         assert norm_rel_err(fd_wrt(loss, layer.bias), d_bias) < LAYER_TOL
-        assert norm_rel_err(fd_wrt(loss, v), d_inputs) < LAYER_TOL
+        assert norm_rel_err(fd_wrt(loss, v), d_inputs[0]) < LAYER_TOL
 
 
 def test_softmax_cross_entropy_gradients_match_finite_differences():
@@ -274,14 +291,14 @@ def test_softmax_cross_entropy_gradients_match_finite_differences():
         target = seed % 5
 
         def loss():
-            return cross_entropy(softmax(dense_forward(layer, v[None])[0]), target)[0]
+            return cross_entropy(softmax(dense_forward(layer, v[None])), [target])[0]
 
-        logits = dense_forward(layer, v[None])[0]
-        _, d_logits = cross_entropy(softmax(logits), target)
-        d_weights, d_bias, d_inputs = dense_backward(layer, v, logits, d_logits)
+        logits = dense_forward(layer, v[None])
+        _, d_logits = cross_entropy(softmax(logits), [target])
+        d_weights, d_bias, d_inputs = dense_backward(layer, v[None], logits, d_logits)
         assert norm_rel_err(fd_wrt(loss, layer.weights), d_weights) < LAYER_TOL
         assert norm_rel_err(fd_wrt(loss, layer.bias), d_bias) < LAYER_TOL
-        assert norm_rel_err(fd_wrt(loss, v), d_inputs) < LAYER_TOL
+        assert norm_rel_err(fd_wrt(loss, v), d_inputs[0]) < LAYER_TOL
 
 
 def test_softmax_properties():
@@ -342,24 +359,42 @@ def test_dropout_validation():
 
 
 def test_cross_entropy_values_and_gradient():
-    probs = np.array([0.1, 0.7, 0.2])
-    loss, grad = cross_entropy(probs, 1)
+    probs = np.array([[0.1, 0.7, 0.2]])
+    loss, grad = cross_entropy(probs, [1])
     assert abs(loss - (-np.log(0.7))) < 1e-15
-    assert np.allclose(grad, [0.1, -0.3, 0.2])
-    loss, _ = cross_entropy(np.array([1.0, 0.0]), 0)
+    assert np.allclose(grad, [[0.1, -0.3, 0.2]])
+    loss, _ = cross_entropy(np.array([[1.0, 0.0]]), [0])
     assert loss == 0.0
 
 
 def test_cross_entropy_clamps_zero_probability():
-    loss, _ = cross_entropy(np.array([0.0, 1.0]), 0)
+    loss, _ = cross_entropy(np.array([[0.0, 1.0]]), [0])
     assert abs(loss - (-np.log(1e-12))) < 1e-9
 
 
 def test_cross_entropy_index_validation():
     with pytest.raises(ValueError):
-        cross_entropy(np.array([0.5, 0.5]), 2)
+        cross_entropy(np.array([[0.5, 0.5]]), [2])
     with pytest.raises(ValueError):
-        cross_entropy(np.array([0.5, 0.5]), -1)
+        cross_entropy(np.array([[0.5, 0.5]]), [-1])
+    with pytest.raises(ShapeError):  # a lone distribution is not a stack
+        cross_entropy(np.array([0.5, 0.5]), 0)
+    with pytest.raises(ShapeError):  # one index per row
+        cross_entropy(np.array([[0.5, 0.5]]), [0, 1])
+
+
+def test_cross_entropy_warns_once_per_call_with_the_clamp_count(caplog):
+    probs = np.array([[0.0, 1.0], [0.4, 0.6], [1e-13, 1.0 - 1e-13]])
+    index = np.array([0, 1, 0])
+    with caplog.at_level(logging.WARNING, logger="coordfuse.layers"):
+        loss, grad = cross_entropy(probs, index)
+    assert len(caplog.records) == 1
+    assert "clamping 2 " in caplog.records[0].getMessage()
+    rows = [cross_entropy(probs[i : i + 1], index[i : i + 1]) for i in range(3)]
+    assert loss == sum(row_loss for row_loss, _ in rows)
+    assert np.array_equal(grad, np.concatenate([row_grad for _, row_grad in rows]))
+    with pytest.raises(ValueError):  # a negative index must not wrap around
+        cross_entropy(probs, np.array([0, -1, 0]))
 
 
 # Stacked forward passes: row j of an (n, ...) stack must give the result of
@@ -404,15 +439,15 @@ def test_conv_backward_unpools_like_the_unfused_chain(width, stride):
     rng = create_rng(24)
     layer = Conv1d(rng.normal(size=(6, 5)), np.array([-3.0, -0.5, 0.0, 0.5, 3.0, -1.0]))
     x = rng.normal(size=23)
-    pooled = conv1d_forward(layer, x[None], width, stride)[0]
+    pooled = conv1d_forward(layer, x[None], width, stride)
     grad = rng.normal(size=pooled.shape)
     # The unfused chain: plain maps, pool routing, ReLU mask, then the products.
-    maps = conv1d_forward(layer, x[None])[0]
+    maps = conv1d_forward(layer, x[None])
     assert 0.0 < np.mean(maps == 0.0) < 1.0
-    g = maxpool1d_backward(maps, pooled, grad, width, stride)
-    g = np.where(maps > 0.0, g, 0.0)
+    g = maxpool1d_backward(maps, pooled, grad, width, stride)[0]
+    g = np.where(maps[0] > 0.0, g, 0.0)
     window = () if (width, stride) == (1, 1) else (width, stride)  # (1, 1) is the default
-    d_weights, d_bias = conv1d_backward(layer, x, pooled, grad, *window)
+    d_weights, d_bias = conv1d_backward(layer, x[None], pooled, grad, *window)
     assert np.array_equal(d_weights, g @ sliding_window_view(x, 5))
     assert np.array_equal(d_bias, g.sum(axis=1))
 
@@ -437,13 +472,13 @@ def draw_pooled_conv_case(seed, width, stride):
 def test_pooled_conv_gradients_match_finite_differences(width, stride):
     for seed in range(5):
         layer, x = draw_pooled_conv_case(seed, width, stride)
-        pooled = conv1d_forward(layer, x[None], width, stride)[0]
+        pooled = conv1d_forward(layer, x[None], width, stride)
         proj = create_rng(seed + 88).normal(size=pooled.shape)
 
         def loss():
-            return float((conv1d_forward(layer, x[None], width, stride)[0] * proj).sum())
+            return float((conv1d_forward(layer, x[None], width, stride) * proj).sum())
 
-        d_weights, d_bias = conv1d_backward(layer, x, pooled, proj, width, stride)
+        d_weights, d_bias = conv1d_backward(layer, x[None], pooled, proj, width, stride)
         assert norm_rel_err(fd_wrt(loss, layer.weights), d_weights) < LAYER_TOL
         assert norm_rel_err(fd_wrt(loss, layer.bias), d_bias) < LAYER_TOL
 
@@ -457,21 +492,29 @@ def test_windows_is_a_read_only_sliding_window_view(shape):
     assert not win.flags.writeable
 
 
-@pytest.mark.parametrize("width,stride,length", [(2, 2, 10), (2, 2, 11), (3, 2, 12), (3, 1, 9)])
+@pytest.mark.parametrize(
+    "width,stride,length",
+    [(2, 2, 10), (2, 2, 11), (3, 2, 12), (3, 1, 9), (4, 1, 10), (2, 3, 13), (4, 4, 17), (5, 2, 14)],
+)
 def test_pool_stack_matches_per_sample_with_ties(width, stride, length):
-    # Values from {0, 1, 2} make most windows hold ties.
+    # Values from {0, 1, 2} make most windows hold ties; one map holds a NaN.
     x = create_rng(12).integers(0, 3, size=(6, 4, length)).astype(np.float64)
+    x[5, 1, length // 2] = np.nan
     pooled = maxpool1d_forward(x, width, stride)
-    grads = create_rng(21).normal(size=pooled.shape)
+    # Gradients of mixed magnitude and sign, with signed zeros: a sum in
+    # another order would lose a small term against 1e16 or flip a zero.
+    rng = create_rng(21)
+    grads = rng.normal(size=pooled.shape)
+    grads[...] = np.choose(rng.integers(0, 4, size=grads.shape), [grads, 1e16, -1e16, -0.0])
+    stacked = maxpool1d_backward(x, pooled, grads, width, stride)
     for i in range(6):
-        single_pooled = maxpool1d_forward(x[i][None], width, stride)[0]
+        single_pooled = maxpool1d_forward(x[i][None], width, stride)
         ref_pooled, ref_idx = naive_pool(x[i], width, stride)
-        assert np.array_equal(pooled[i], single_pooled)
-        assert np.array_equal(single_pooled, ref_pooled)
-        assert np.array_equal(
-            maxpool1d_backward(x[i], pooled[i], grads[i], width, stride),
-            naive_route(x[i].shape, ref_idx, grads[i]),
-        )
+        assert np.array_equal(pooled[i], single_pooled[0], equal_nan=True)
+        assert np.array_equal(single_pooled[0], ref_pooled, equal_nan=True)
+        single = maxpool1d_backward(x[i][None], single_pooled, grads[i][None], width, stride)[0]
+        assert stacked[i].tobytes() == single.tobytes()
+        assert single.tobytes() == naive_route(x[i].shape, ref_idx, grads[i]).tobytes()
 
 
 @pytest.mark.parametrize("activation", ["relu", "identity"])
@@ -515,7 +558,7 @@ def test_stacked_forward_input_validation():
     with pytest.raises(ShapeError):
         conv1d_forward(Conv1d(np.ones((2, 4)), np.zeros(2)), np.ones((2, 3, 8)))
     with pytest.raises(ShapeError):
-        maxpool1d_forward(np.ones((2, 3, 4, 8)))
+        maxpool1d_forward(np.ones((2, 3, 4, 8)), 2, 2)
     with pytest.raises(ShapeError):
         dense_forward(Dense(np.ones((3, 2)), np.zeros(2)), np.ones((2, 4, 3)))
     with pytest.raises(ShapeError):

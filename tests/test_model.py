@@ -155,14 +155,14 @@ def test_backward_label_range():
     _, cache = forward(model, np.ones((1, 16)), np.zeros((1, 2)))
     for bad in (0, 4):
         with pytest.raises(ValueError):
-            backward(model, cache.row(0), bad)
+            backward(model, cache, np.array([bad]))
 
 
 def test_backward_keys_match_parameters():
     for baseline in (False, True):
         model = small_model(baseline=baseline)
         _, cache = forward(model, np.ones((1, 16)), np.full((1, 2), 0.5))
-        _, grads = backward(model, cache.row(0), 2)
+        _, grads = backward(model, cache, np.array([2]))
         assert list(grads) == list(model.parameters())
         for name, g in grads.items():
             assert g.shape == model.parameters()[name].shape, name
@@ -180,9 +180,9 @@ def test_backward_reaches_the_conv_helpers_through_the_layers_module(monkeypatch
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(layers_module, name, counted)
-    backward(model, cache.row(0), 2)
+    backward(model, cache, np.array([2]))
     assert {k: len(v) for k, v in calls.items()} == {"conv1d_forward": 1, "maxpool1d_backward": 1}
-    # The recompute is a one-row stack, so the profiler counts it as one row.
+    # The recompute runs on the cache's own stack, so the profiler counts its rows.
     [(_, spectra)] = calls["conv1d_forward"]
     assert spectra.shape == (1, 16)
 
@@ -205,11 +205,11 @@ def test_end_to_end_gradients_match_finite_differences(baseline):
     for seed in range(10):
         model, x, coords, label = _kink_free_case(seed, baseline)
         _, cache = forward(model, x[None], coords[None])
-        _, grads = backward(model, cache.row(0), label)
+        _, grads = backward(model, cache, np.array([label]))
 
         def loss():
             probs, _ = forward(model, x[None], coords[None])
-            return cross_entropy(probs[0], label - 1)[0]
+            return cross_entropy(probs, np.array([label - 1]))[0]
 
         for name, param in model.parameters().items():
             fd = fd_wrt(loss, param)
@@ -223,12 +223,12 @@ def test_backward_without_rng_matches_finite_differences():
         for seed in range(3):
             model, x, coords, label = _kink_free_case(seed, baseline, keep_prob=0.5)
             probs, cache = forward(model, x[None], coords[None])
-            loss, grads = backward(model, cache.row(0), label)
+            loss, grads = backward(model, cache, np.array([label]))
             assert cache.drop_mask is None
-            assert loss == cross_entropy(probs[0], label - 1)[0]
+            assert loss == cross_entropy(probs, np.array([label - 1]))[0]
 
             def loss_fn():
-                return cross_entropy(forward(model, x[None], coords[None])[0][0], label - 1)[0]
+                return cross_entropy(forward(model, x[None], coords[None])[0], [label - 1])[0]
 
             for name, param in model.parameters().items():
                 fd = fd_wrt(loss_fn, param)
@@ -240,9 +240,8 @@ def test_dropout_mask_gates_spectral_gradient():
     rng = create_rng(12)
     x, coords = rng.random((1, 16)), rng.random((1, 2))
     _, cache = forward(model, x, coords, rng)
-    row = cache.row(0)
-    _, grads = backward(model, row, 1)
-    dead = row.drop_mask == 0.0
+    _, grads = backward(model, cache, np.array([1]))
+    dead = cache.drop_mask[0] == 0.0
     assert dead.any()
     # dropped fc units pass no gradient to their bias
     assert not grads["fc.bias"][dead].any()
@@ -418,8 +417,8 @@ def test_forward_stack_matches_single_pixel_forwards(baseline):
 @pytest.mark.parametrize("bands", [30, 220])
 @pytest.mark.parametrize("baseline", [False, True], ids=["dual", "baseline"])
 def test_backward_of_a_stacked_row_matches_the_single_pixel_backward(baseline, bands):
-    # Training runs one stacked forward per batch and backward on each row of
-    # its cache; the finite-difference checks run on one-row stacks.
+    # Training runs one stacked forward per batch and backward on each one-row
+    # cache of it; the finite-difference checks run on one-row stacks.
     cfg = ModelConfig(num_bands=bands, num_classes=16, keep_prob=0.75, baseline=baseline)
     model = build(cfg, create_rng(3))
     rng = create_rng(4)
@@ -434,13 +433,35 @@ def test_backward_of_a_stacked_row_matches_the_single_pixel_backward(baseline, b
             stacked = getattr(cache, name)
             assert value is None if stacked is None else np.shares_memory(value, stacked)
         _, single = forward(model, feats[j][None], coords[j][None], single_rng)
-        single = single.row(0)
         assert np.array_equal(row.drop_mask, single.drop_mask)
-        loss, grads = backward(model, row, int(labels[j]))
-        ref_loss, ref_grads = backward(model, single, int(labels[j]))
+        loss, grads = backward(model, row, labels[j : j + 1])
+        ref_loss, ref_grads = backward(model, single, labels[j : j + 1])
         assert abs(loss - ref_loss) <= 1e-13 * abs(ref_loss)
         for name, g in grads.items():
             assert norm_rel_err(g, ref_grads[name]) <= 1e-13, name
+
+
+@pytest.mark.parametrize("bands", [30, 220])
+@pytest.mark.parametrize("baseline", [False, True], ids=["dual", "baseline"])
+def test_stacked_backward_is_the_sum_of_its_rows(baseline, bands):
+    # One backward over a whole mini-batch cache gives the summed loss and
+    # gradients of one backward per row of it.
+    cfg = ModelConfig(num_bands=bands, num_classes=16, keep_prob=0.75, baseline=baseline)
+    model = build(cfg, create_rng(3))
+    rng = create_rng(4)
+    feats = rng.random((64, bands))
+    coords = rng.random((64, 2))
+    labels = rng.integers(1, 17, size=64)
+    _, cache = forward(model, feats, coords, create_rng(5))
+    assert cache.drop_mask is not None and cache.drop_mask.shape == (64, cfg.dense_width)
+    loss, grads = backward(model, cache, labels)
+    rows = [backward(model, cache.row(j), labels[j : j + 1]) for j in range(64)]
+    ref_loss = sum(row_loss for row_loss, _ in rows)
+    assert abs(loss - ref_loss) <= 1e-13 * abs(ref_loss)
+    assert list(grads) == list(model.parameters())
+    for name, g in grads.items():
+        assert g.shape == model.parameters()[name].shape, name
+        assert norm_rel_err(g, sum(row_grads[name] for _, row_grads in rows)) <= 1e-13, name
 
 
 def unfused_forward(model, feats, coords):

@@ -200,7 +200,7 @@ def test_train_matches_manual_loop():
             acc = {k: np.zeros_like(p) for k, p in params.items()}
             _, cache = forward(ref, feats[batch], coords[batch], rng2)
             for j, i in enumerate(batch):
-                _, grads = backward(ref, cache.row(j), int(labels[i]))
+                _, grads = backward(ref, cache.row(j), labels[i : i + 1])
                 for name, g in grads.items():
                     acc[name] += g
             for name in acc:
@@ -248,15 +248,15 @@ def test_train_makes_one_forward_per_batch_and_one_backward_per_sample(monkeypat
                     dense_width=4, coord_hidden=4),
         create_rng(0),
     )
-    forward_rows, backward_ndims = [], []
+    forward_rows, backward_rows = [], []
 
     def counted_forward(model, spectral, coords, rng=None):
         forward_rows.append(len(spectral))
         return forward(model, spectral, coords, rng)
 
-    def counted_backward(model, cache, label):
-        backward_ndims.append(cache.probs.ndim)
-        return backward(model, cache, label)
+    def counted_backward(model, cache, labels):
+        backward_rows.append((cache.probs.shape, len(labels)))
+        return backward(model, cache, labels)
 
     monkeypatch.setattr(optimizer_module, "forward", counted_forward)
     monkeypatch.setattr(optimizer_module, "backward", counted_backward)
@@ -264,7 +264,7 @@ def test_train_makes_one_forward_per_batch_and_one_backward_per_sample(monkeypat
           TrainConfig(max_epochs=epochs, batch_size=batch_size), create_rng(1))
     assert len(forward_rows) == epochs * math.ceil(n / batch_size)
     assert sum(forward_rows) == epochs * n
-    assert backward_ndims == [1] * (epochs * n)  # one single-pixel cache each
+    assert backward_rows == [((1, 2), 1)] * (epochs * n)  # one one-row cache each
 
 
 # Two Adam steps (batch 64) at the Indian Pines shape: 220 bands, so the fc
