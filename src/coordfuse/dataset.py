@@ -445,13 +445,16 @@ def generate_synthetic(
         raise ValueError(f"noise must be finite and >= 0, got {noise}")
 
     # Redraw seed pixels until every region is big enough to split later.
-    min_region = 3
+    min_region = min(3, (height * width) // n_classes)
     for _ in range(100):
         chosen = rng.choice(height * width, size=n_classes, replace=False)
         assignment = _nearest_seed(height, width, *np.divmod(chosen, width))
         sizes = np.bincount(assignment.ravel(), minlength=n_classes)
-        if sizes.min() >= min(min_region, (height * width) // n_classes):
+        if sizes.min() >= min_region:
             break
+    else:
+        raise ValueError(f"no draw of {n_classes} regions on a {height}x{width} image "
+                         f"gave each at least {min_region} pixels in 100 tries")
 
     prototypes = rng.random((n_classes, bands))
     prototypes = prototypes.mean(axis=0) + (1.0 - overlap) * (

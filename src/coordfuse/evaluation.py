@@ -43,9 +43,8 @@ def confusion(preds, truth, num_classes: int) -> np.ndarray:
     for name, arr in (("preds", preds), ("truth", truth)):
         if arr.min() < 1 or arr.max() > num_classes:
             raise ValueError(f"{name} outside 1..{num_classes}")
-    cm = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(cm, (truth - 1, preds - 1), 1)
-    return cm
+    cells = (truth - 1) * num_classes + (preds - 1)
+    return np.bincount(cells, minlength=num_classes**2).reshape(num_classes, num_classes)
 
 
 @dataclass

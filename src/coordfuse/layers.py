@@ -9,7 +9,8 @@ the first layer, returns only its parameter gradients). The conv's backward
 takes its forward's pool window and routes the pooled gradient itself. Each is
 checked against central finite differences in the test suite. Max pooling keeps
 no argmax: its backward finds the earliest column holding each maximum from the
-maps and the maxima.
+maps and the maxima. A dense layer is linear unless its `relu` flag is set: the
+model's hidden layers set it, its fusion head does not.
 """
 
 from __future__ import annotations
@@ -39,16 +40,12 @@ class Conv1d:
 
 @dataclass
 class Dense:
-    """Fully connected layer computing activation(v @ weights + bias), where
-    the activation is "relu" or "identity"."""
+    """Fully connected layer computing v @ weights + bias, followed by a ReLU
+    when `relu` is set."""
 
     weights: np.ndarray  # (in_dim, out_dim)
     bias: np.ndarray  # (out_dim,)
-    activation: str = "identity"
-
-
-def relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
+    relu: bool = False
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -167,17 +164,14 @@ def maxpool1d_backward(
 
 
 def dense_forward(layer: Dense, v: np.ndarray) -> np.ndarray:
-    """activation(v @ weights + bias) for an (n, in_dim) stack of inputs."""
+    """v @ weights + bias for an (n, in_dim) stack of inputs, through a ReLU
+    when the layer has one."""
     v = np.asarray(v, dtype=np.float64)
     in_dim = layer.weights.shape[0]
     if v.ndim != 2 or v.shape[1] != in_dim:
         raise ShapeError(f"expected input of shape (n, {in_dim}), got {v.shape}")
     z = v @ layer.weights + layer.bias
-    if layer.activation == "relu":
-        return relu(z)
-    if layer.activation == "identity":
-        return z
-    raise ValueError(f"unknown activation {layer.activation!r}")
+    return np.maximum(z, 0.0, out=z) if layer.relu else z
 
 
 def dense_backward(
@@ -193,12 +187,9 @@ def dense_backward(
     ):
         raise ShapeError(f"inputs {v.shape}, out {out.shape} and grad {grad_out.shape} "
                          f"do not fit a {layer.weights.shape} layer")
-    if layer.activation == "relu":
-        dz = np.where(out > 0.0, grad_out, 0.0)
-    elif layer.activation == "identity":
-        dz = np.asarray(grad_out, dtype=np.float64)
-    else:
-        raise ValueError(f"unknown activation {layer.activation!r}")
+    dz = np.asarray(grad_out, dtype=np.float64)
+    if layer.relu:
+        dz = np.where(out > 0.0, dz, 0.0)
     # np.dot: at one row it is bitwise np.outer, and faster than `@`.
     return np.dot(v.T, dz), dz.sum(axis=0), np.dot(dz, layer.weights.T)
 

@@ -102,11 +102,11 @@ class DualBranchModel:
         self.theta = theta
         p = param_views(config, theta)
         self.conv = Conv1d(p["conv.weights"], p["conv.bias"])
-        self.fc = Dense(p["fc.weights"], p["fc.bias"], "relu")
+        self.fc = Dense(p["fc.weights"], p["fc.bias"], relu=True)
         self.coord1 = self.coord2 = None
         if not config.baseline:
-            self.coord1 = Dense(p["coord1.weights"], p["coord1.bias"], "relu")
-            self.coord2 = Dense(p["coord2.weights"], p["coord2.bias"], "relu")
+            self.coord1 = Dense(p["coord1.weights"], p["coord1.bias"], relu=True)
+            self.coord2 = Dense(p["coord2.weights"], p["coord2.bias"], relu=True)
         self.head = Dense(p["head.weights"], p["head.bias"])
 
     def parameters(self) -> dict[str, np.ndarray]:

@@ -73,7 +73,7 @@ def _layer_fd_worst(seeds=10):
         pool_win = np.lib.stride_tricks.sliding_window_view(pool_in, 2, axis=1)[:, ::2]
         if np.abs(pool_win[..., 0] - pool_win[..., 1]).min() <= MARGIN:
             continue
-        dense = Dense(rng.normal(size=(7, 5)), rng.normal(size=5) * 0.1, "relu")
+        dense = Dense(rng.normal(size=(7, 5)), rng.normal(size=5) * 0.1, relu=True)
         v = rng.normal(size=7)
         if np.abs(v @ dense.weights + dense.bias).min() <= MARGIN:
             continue

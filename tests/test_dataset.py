@@ -555,6 +555,9 @@ def test_generate_synthetic_validation():
         generate_synthetic(rng, 4, 4, 2, 2, overlap=1.0)
     with pytest.raises(ValueError):
         generate_synthetic(rng, 4, 4, 2, 2, noise=-0.1)
+    for h, w, k in ((5, 5, 8), (3, 7, 7)):  # no draw gives every region 3 pixels
+        with pytest.raises(ValueError, match="at least 3 pixels"):
+            generate_synthetic(create_rng(0), h, w, 2, k)
 
 
 @pytest.mark.parametrize("name", list(INGESTION_SHAPES))

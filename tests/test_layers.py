@@ -18,7 +18,6 @@ from coordfuse.layers import (
     dropout,
     maxpool1d_backward,
     maxpool1d_forward,
-    relu,
     softmax,
     _windows,
 )
@@ -231,9 +230,9 @@ def test_pool_overlapping_windows_accumulate_in_window_order():
 
 
 def test_dense_forward_hand_case():
-    layer = Dense(np.array([[1.0, 0.0], [0.0, -2.0]]), np.array([0.5, 1.0]), "identity")
+    layer = Dense(np.array([[1.0, 0.0], [0.0, -2.0]]), np.array([0.5, 1.0]))
     assert np.allclose(dense_forward(layer, np.array([[2.0, 3.0]])), [[2.5, -5.0]])
-    layer.activation = "relu"
+    layer.relu = True
     assert np.allclose(dense_forward(layer, np.array([[2.0, 3.0]])), [[2.5, 0.0]])
 
 
@@ -243,10 +242,6 @@ def test_dense_validation():
         dense_forward(layer, np.ones((1, 4)))
     with pytest.raises(ShapeError):  # a lone input vector is not a stack
         dense_forward(layer, np.ones(3))
-    for activation in ("tanh", "softmax"):  # softmax is the model's, not a layer's
-        bad = Dense(np.ones((3, 2)), np.zeros(2), activation)
-        with pytest.raises(ValueError):
-            dense_forward(bad, np.ones((1, 3)))
     with pytest.raises(ShapeError):  # a lone input vector is not a stack
         dense_backward(layer, np.ones(3), np.ones(2), np.ones(2))
     with pytest.raises(ShapeError):  # the stacks disagree on n
@@ -255,23 +250,21 @@ def test_dense_validation():
         dense_backward(layer, np.ones((1, 4)), np.ones((1, 2)), np.ones((1, 2)))
 
 
-def draw_dense_case(seed, in_dim=7, out_dim=5, activation="relu"):
+def draw_dense_case(seed, in_dim=7, out_dim=5, relu=True):
     for attempt in range(100):
         rng = create_rng(seed + 1000 * attempt)
-        layer = Dense(
-            rng.normal(size=(in_dim, out_dim)), rng.normal(size=out_dim) * 0.1, activation
-        )
+        layer = Dense(rng.normal(size=(in_dim, out_dim)), rng.normal(size=out_dim) * 0.1, relu)
         v = rng.normal(size=in_dim)
         pre = v @ layer.weights + layer.bias
-        if activation != "relu" or np.abs(pre).min() > MARGIN:
+        if not relu or np.abs(pre).min() > MARGIN:
             return layer, v
     raise AssertionError("no kink-free dense draw found")
 
 
-@pytest.mark.parametrize("activation", ["relu", "identity"])
-def test_dense_gradients_match_finite_differences(activation):
+@pytest.mark.parametrize("relu", [True, False], ids=["relu", "identity"])
+def test_dense_gradients_match_finite_differences(relu):
     for seed in range(10):
-        layer, v = draw_dense_case(seed, activation=activation)
+        layer, v = draw_dense_case(seed, relu=relu)
         proj = create_rng(seed + 55).normal(size=5)
 
         def loss():
@@ -287,7 +280,7 @@ def test_dense_gradients_match_finite_differences(activation):
 def test_softmax_cross_entropy_gradients_match_finite_differences():
     # The model's head: a linear dense layer, softmax, negative log-likelihood.
     for seed in range(10):
-        layer, v = draw_dense_case(seed, activation="identity")
+        layer, v = draw_dense_case(seed, relu=False)
         target = seed % 5
 
         def loss():
@@ -309,10 +302,6 @@ def test_softmax_properties():
     huge = softmax(np.array([1000.0, 0.0]))
     assert np.isfinite(huge).all()
     assert huge[0] > 0.999
-
-
-def test_relu():
-    assert np.array_equal(relu(np.array([-2.0, 0.0, 3.0])), [0.0, 0.0, 3.0])
 
 
 def test_dropout_inference_is_identity():
@@ -517,10 +506,10 @@ def test_pool_stack_matches_per_sample_with_ties(width, stride, length):
         assert single.tobytes() == naive_route(x[i].shape, ref_idx, grads[i]).tobytes()
 
 
-@pytest.mark.parametrize("activation", ["relu", "identity"])
-def test_dense_stack_matches_per_sample(activation):
+@pytest.mark.parametrize("relu", [True, False], ids=["relu", "identity"])
+def test_dense_stack_matches_per_sample(relu):
     rng = create_rng(13)
-    layer = Dense(rng.normal(size=(7, 5)), rng.normal(size=5), activation)
+    layer = Dense(rng.normal(size=(7, 5)), rng.normal(size=5), relu)
     v = rng.normal(size=(9, 7))
     out = dense_forward(layer, v)
     assert out.shape == (9, 5)
