@@ -27,7 +27,6 @@ import numpy as np
 from coordfuse.dataset import (
     SplitSpec,
     coord_features,
-    extract_samples,
     from_csv,
     generate_synthetic,
     load_cube,
@@ -249,13 +248,16 @@ def cmd_run(args) -> int:
         raise ValueError(f"need at least 2 classes, found {k}")
     cube = normalize_cube(cube)  # drops the raw cube: a run holds one
 
-    spec = SplitSpec(fraction=cfg.fraction, seed=cfg.seed, min_per_class=cfg.min_per_class)
-    train_idx, test_idx = stratified_split(labels, spec)
-    train_set = extract_samples(cube, labels, train_idx)
-    train_counts = np.bincount(train_set.labels, minlength=k + 1)[1:]
+    # Every pixel is a row of the raster arrays; the split picks rows of them.
     h, w = cube.height, cube.width
     raster_features = cube.values.reshape(h * w, cube.bands)
     raster_coords = coord_features(*np.indices((h, w)), h, w).reshape(h * w, 2)
+    truth = labels.labels.reshape(h * w)
+    spec = SplitSpec(fraction=cfg.fraction, seed=cfg.seed, min_per_class=cfg.min_per_class)
+    train_px, test_px = (
+        np.ravel_multi_index(idx.T, (h, w)) for idx in stratified_split(labels, spec)
+    )
+    train_counts = np.bincount(truth[train_px], minlength=k + 1)[1:]
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     palette = default_palette(k)
@@ -269,17 +271,14 @@ def cmd_run(args) -> int:
         model = build(cfg.model_config(cube.bands, k, is_baseline), rng)
         history = train(
             model,
-            train_set.features,
-            train_set.coords,
-            train_set.labels,
+            raster_features[train_px],
+            raster_coords[train_px],
+            truth[train_px],
             cfg.train_config(),
             rng,
         )
-        # Gathered after training, so neither training holds the test block.
-        test_set = extract_samples(cube, labels, test_idx)
-        preds = predict_many(model, test_set.features, test_set.coords)
-        report = metrics(confusion(preds, test_set.labels, num_classes=k))
-        del test_set
+        preds = predict_many(model, raster_features[test_px], raster_coords[test_px])
+        report = metrics(confusion(preds, truth[test_px], num_classes=k))
         write_report(
             report,
             os.path.join(cfg.out_dir, prefix + "report.json"),
@@ -333,9 +332,8 @@ def cmd_energy(args) -> int:
     appearance = window[:, :, cfg.appearance_bands]
     crop_features = window.reshape(ch * cw, cube.bands)
     # Coordinates stay in the full-image frame.
-    rows, cols = np.indices((ch, cw))
-    crop_coords = coord_features(r0 + rows, c0 + cols, cube.height, cube.width)
-    crop_coords = crop_coords.reshape(ch * cw, 2)
+    grid = coord_features(*np.indices((cube.height, cube.width)), cube.height, cube.width)
+    crop_coords = grid[r0 : r0 + ch, c0 : c0 + cw].reshape(ch * cw, 2)
 
     dual_path = args.dual_ckpt or os.path.join(cfg.out_dir, "model.ckpt")
     base_path = args.baseline_ckpt or os.path.join(cfg.out_dir, "baseline_model.ckpt")

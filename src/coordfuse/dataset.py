@@ -303,11 +303,9 @@ def normalize_cube(cube: DataCube) -> DataCube:
     require_finite(lo, "cube")
     require_finite(hi, "cube")
     span = hi - lo
-    flat = np.where(span == 0.0)[0]
-    span[flat] = 1.0
+    span[span == 0.0] = 1.0  # a constant band is all lo, so it scales to 0 / 1
     scaled = np.subtract(cube.values, lo)
     scaled /= span
-    scaled[:, :, flat] = 0.0
     return DataCube(scaled)
 
 

@@ -18,6 +18,7 @@ from typing import get_type_hints
 
 import numpy as np
 
+from coordfuse.dataset import MAX_ELEMENTS
 from coordfuse.layers import (
     Conv1d,
     Dense,
@@ -86,6 +87,8 @@ class ModelConfig:
             )
         if not 0.0 < self.keep_prob <= 1.0:
             raise ValueError(f"keep_prob must be in (0, 1], got {self.keep_prob}")
+        if param_count(self) > MAX_ELEMENTS:  # the cap a cube file has on its values
+            raise ValueError(f"{param_count(self)} parameters exceed the {MAX_ELEMENTS} cap")
 
 
 class DualBranchModel:

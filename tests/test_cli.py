@@ -9,10 +9,31 @@ import pytest
 
 from coordfuse import cli as cli_module
 from coordfuse.cli import MAX_CROP_PIXELS, UsageError, _parse_crop, load_config, main
-from coordfuse.dataset import DataCube, LabelMap, load_cube, load_labels, save_cube, save_labels
-from coordfuse.evaluation import CrfParams, dense_energy
-from coordfuse.model import load_checkpoint
+from coordfuse.dataset import (
+    DataCube,
+    LabelMap,
+    SplitSpec,
+    coord_features,
+    extract_samples,
+    load_cube,
+    load_labels,
+    normalize_cube,
+    save_cube,
+    save_labels,
+    stratified_split,
+)
+from coordfuse.evaluation import (
+    CrfParams,
+    confusion,
+    default_palette,
+    dense_energy,
+    metrics,
+    render_map,
+    write_report,
+)
+from coordfuse.model import ModelConfig, build, load_checkpoint, predict_many
 from coordfuse.numerics import create_rng
+from coordfuse.optimizer import TrainConfig, train
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -118,6 +139,11 @@ def test_load_config_defaults(tmp_path):
         ('{"cube": "a", "labels": "b", "min_per_class": -1}', "min_per_class"),
         ('{"cube": 5, "labels": "b"}', "cube"),
         ('{"cube": "a", "labels": "b", "model": []}', "model"),
+        # A layer this wide needs terabytes: rejected before any data is read.
+        *(
+            (f'{{"cube": "a", "labels": "b", "model": {{"{key}": 1000000000}}}}', "parameters")
+            for key in ("dense_width", "conv_filters", "coord_hidden")
+        ),
         # Python's json reads the non-standard literals Infinity and NaN.
         *(
             (f'{{"cube": "a", "labels": "b", "{section}": {{"{key}": {literal}}}}}', message)
@@ -379,6 +405,36 @@ def test_baseline_only_skips_dual(tiny_experiment, tmp_path):
     # baseline artifacts match the combined run exactly
     a = (tiny_experiment["out"] / "baseline_model.ckpt").read_bytes()
     assert a == (out2 / "baseline_model.ckpt").read_bytes()
+
+
+def test_run_writes_what_the_library_pipeline_computes(tiny_experiment, tmp_path):
+    """Each model's report and map, rebuilt from library calls on sample
+    sets, match what `run` wrote byte for byte."""
+    raw = json.loads(tiny_experiment["config"].read_text())
+    cube = normalize_cube(load_cube(tiny_experiment["cube"]))
+    labels = load_labels(tiny_experiment["labels"])
+    h, w, k = cube.height, cube.width, labels.num_classes
+    train_idx, test_idx = stratified_split(labels, SplitSpec(raw["fraction"], raw["seed"]))
+    train_set = extract_samples(cube, labels, train_idx)
+    test_set = extract_samples(cube, labels, test_idx)
+    rows, cols = np.indices((h, w)).reshape(2, h * w)
+    features = cube.values.reshape(h * w, cube.bands)
+    coords = coord_features(rows, cols, h, w)
+    train_counts = np.bincount(train_set.labels, minlength=k + 1)[1:]
+    for prefix, baseline, seed in (("", False, raw["seed"] + 1),
+                                   ("baseline_", True, raw["seed"] + 2)):
+        rng = create_rng(seed)
+        model = build(ModelConfig(cube.bands, k, baseline=baseline, **raw["model"]), rng)
+        train(model, train_set.features, train_set.coords, train_set.labels,
+              TrainConfig(**raw["train"]), rng)
+        preds = predict_many(model, test_set.features, test_set.coords)
+        report = metrics(confusion(preds, test_set.labels, num_classes=k))
+        write_report(report, tmp_path / (prefix + "report.json"), train_counts=train_counts)
+        raster = predict_many(model, features, coords).reshape(h, w)
+        render_map(raster, default_palette(k), tmp_path / (prefix + "map.ppm"))
+        for name in (prefix + "report.json", prefix + "map.ppm"):
+            written = (tiny_experiment["out"] / name).read_bytes()
+            assert (tmp_path / name).read_bytes() == written, name
 
 
 def test_energy_command_prints_three_lines(tiny_experiment, capsys):
