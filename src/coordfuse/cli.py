@@ -74,14 +74,37 @@ class UsageError(Exception):
 _RUN_SET_FIELDS = ("num_bands", "num_classes", "baseline")
 
 
-def _defaults(cls) -> dict:
-    """The config keys of a hyperparameter dataclass, with its defaults."""
-    return {f.name: f.default for f in fields(cls) if f.name not in _RUN_SET_FIELDS}
+def _parse(raw, cls, name: str | None) -> dict:
+    """The config keys of dataclass `cls` read from the JSON object `raw`: a
+    value given is typed, a section is parsed the same way, a missing key
+    takes its default. `name` is the section's key, None at the top level."""
+    if not isinstance(raw, dict):
+        raise UsageError(f"config section {name!r} must be an object")
+    keys = {f.name: f for f in fields(cls) if f.name not in _RUN_SET_FIELDS}
+    unknown = set(raw) - set(keys)
+    if unknown:
+        where = f"keys in config section {name!r}" if name else "config keys"
+        raise UsageError(f"unknown {where}: {sorted(unknown)}")
+    hints = get_type_hints(cls)
+    values = {}
+    for key, f in keys.items():
+        section = f.metadata.get("section")
+        if key in raw and section:
+            values[key] = _parse(raw[key], section, key)
+        elif key in raw:
+            values[key] = typed(f"{name}.{key}" if name else key, raw[key], hints[key])
+        elif f.default_factory is not MISSING:
+            values[key] = f.default_factory()
+        elif f.default is not MISSING:
+            values[key] = f.default
+        else:
+            raise UsageError(f"config must set {key!r}")
+    return values
 
 
 def _section(cls):
     """A config section holding the keys of `cls`, defaulting to its defaults."""
-    return field(default_factory=lambda: _defaults(cls), metadata={"section": cls})
+    return field(default_factory=lambda: _parse({}, cls, None), metadata={"section": cls})
 
 
 @dataclass
@@ -102,25 +125,6 @@ class ExperimentConfig:
             num_bands=num_bands, num_classes=num_classes, baseline=baseline, **self.model
         )
 
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(**self.train)
-
-    def crf_params(self) -> CrfParams:
-        return CrfParams(**self.crf)
-
-
-def _merge_section(raw, cls, name: str) -> dict:
-    if not isinstance(raw, dict):
-        raise UsageError(f"config section {name!r} must be an object")
-    merged = _defaults(cls)
-    unknown = set(raw) - set(merged)
-    if unknown:
-        raise UsageError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
-    hints = get_type_hints(cls)
-    for key, val in raw.items():
-        merged[key] = typed(f"{name}.{key}", val, hints[key])
-    return merged
-
 
 def _check_seed(seed: int) -> None:
     # The baseline trains with seed + 2, which must still be a 64-bit seed.
@@ -139,25 +143,10 @@ def load_config(path) -> ExperimentConfig:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError(f"config {path} must be a JSON object")
-    top = {f.name: f for f in fields(ExperimentConfig)}
-    unknown = set(raw) - set(top)
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    hints = get_type_hints(ExperimentConfig)
-    values = {}
     try:
-        for key, f in top.items():
-            if key in raw:
-                section = f.metadata.get("section")
-                if section:
-                    values[key] = _merge_section(raw[key], section, key)
-                else:
-                    values[key] = typed(key, raw[key], hints[key])
-            elif f.default is MISSING and f.default_factory is MISSING:
-                raise UsageError(f"config must set {key!r}")
+        cfg = ExperimentConfig(**_parse(raw, ExperimentConfig, None))
     except TypeError as exc:  # a value of the wrong type, from numerics.typed
         raise UsageError(str(exc)) from exc
-    cfg = ExperimentConfig(**values)
 
     if not 0.0 < cfg.fraction < 1.0:
         raise UsageError(f"fraction must lie in (0, 1), got {cfg.fraction}")
@@ -169,8 +158,8 @@ def load_config(path) -> ExperimentConfig:
     # Fail on bad hyperparameter values now, not mid-run. The dummy band
     # count is generous so only data-independent problems trip here.
     try:
-        cfg.train_config().validate()
-        cfg.crf_params().validate()
+        TrainConfig(**cfg.train).validate()
+        CrfParams(**cfg.crf).validate()
         dummy_bands = cfg.model["kernel_len"] + cfg.model["pool_width"] + 8
         cfg.model_config(num_bands=dummy_bands, num_classes=2, baseline=False).validate()
     except ValueError as exc:
@@ -259,7 +248,6 @@ def cmd_run(args) -> int:
     )
     train_counts = np.bincount(truth[train_px], minlength=k + 1)[1:]
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
     palette = default_palette(k)
     jobs = []
     if not args.baseline_only:
@@ -269,12 +257,13 @@ def cmd_run(args) -> int:
     for name, prefix, is_baseline, seed in jobs:
         rng = create_rng(seed)
         model = build(cfg.model_config(cube.bands, k, is_baseline), rng)
+        os.makedirs(cfg.out_dir, exist_ok=True)  # once build has checked the network
         history = train(
             model,
             raster_features[train_px],
             raster_coords[train_px],
             truth[train_px],
-            cfg.train_config(),
+            TrainConfig(**cfg.train),
             rng,
         )
         preds = predict_many(model, raster_features[test_px], raster_coords[test_px])
@@ -337,10 +326,10 @@ def cmd_energy(args) -> int:
 
     dual_path = args.dual_ckpt or os.path.join(cfg.out_dir, "model.ckpt")
     base_path = args.baseline_ckpt or os.path.join(cfg.out_dir, "baseline_model.ckpt")
-    energies = {}
-    params = cfg.crf_params()
+    # Both checkpoints are checked before either O(N^2) energy is computed.
+    models = {}
     for name, path in (("baseline", base_path), ("dual", dual_path)):
-        model = load_checkpoint(path)
+        model = models[name] = load_checkpoint(path)
         if model.config.baseline != (name == "baseline"):
             kind = "baseline" if model.config.baseline else "dual"
             raise ValueError(f"{path} holds a {kind} model, not the {name} model")
@@ -348,10 +337,12 @@ def cmd_energy(args) -> int:
             raise ValueError(
                 f"{path} expects {model.config.num_bands} bands, cube has {cube.bands}"
             )
+    energies = {}
+    for name, model in models.items():
         probs = forward_many(model, crop_features, crop_coords)
         labeling = (np.argmax(probs, axis=1) + 1).reshape(ch, cw)
         probmap = probs.reshape(ch, cw, -1)
-        energies[name] = dense_energy(labeling, probmap, appearance, params)
+        energies[name] = dense_energy(labeling, probmap, appearance, CrfParams(**cfg.crf))
 
     print(f"baseline_energy={energies['baseline']:.6f}")
     print(f"dual_energy={energies['dual']:.6f}")

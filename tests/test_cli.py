@@ -139,6 +139,13 @@ def test_load_config_defaults(tmp_path):
         ('{"cube": "a", "labels": "b", "min_per_class": -1}', "min_per_class"),
         ('{"cube": 5, "labels": "b"}', "cube"),
         ('{"cube": "a", "labels": "b", "model": []}', "model"),
+        ('{"cube": "a", "labels": "b", "train": []}', "section 'train' must be an object"),
+        ('{"cube": "a", "labels": "b", "crf": 3}', "section 'crf' must be an object"),
+        ('{"cube": "a", "labels": "b", "crf": {"typo": 1}}',
+         "unknown keys in config section 'crf'"),
+        # `run` sets the per-run fields itself; the config may not.
+        ('{"cube": "a", "labels": "b", "model": {"num_bands": 5}}',
+         "unknown keys in config section 'model'"),
         # A layer this wide needs terabytes: rejected before any data is read.
         *(
             (f'{{"cube": "a", "labels": "b", "model": {{"{key}": 1000000000}}}}', "parameters")
@@ -435,6 +442,50 @@ def test_run_writes_what_the_library_pipeline_computes(tiny_experiment, tmp_path
         for name in (prefix + "report.json", prefix + "map.ppm"):
             written = (tiny_experiment["out"] / name).read_bytes()
             assert (tmp_path / name).read_bytes() == written, name
+
+
+@pytest.mark.parametrize(
+    "shape,model,message",
+    [
+        (("6", "6", "8"), {"kernel_len": 10}, "kernel length 10 exceeds 8 bands"),
+        # Fits load_config's stand-in band count, not the cube's 20000 bands.
+        (("3", "3", "20000"), {"conv_filters": 1000, "dense_width": 1000},
+         "parameters exceed the 4294967296 cap"),
+    ],
+)
+def test_run_rejects_a_network_that_does_not_fit_before_making_out_dir(
+    tmp_path, capsys, shape, model, message
+):
+    cube, labels = tmp_path / "c.hcube", tmp_path / "l.hlbl"
+    height, width, bands = shape
+    assert main(["synth", str(cube), str(labels), "--height", height, "--width", width,
+                 "--bands", bands, "--classes", "2"]) == 0
+    config = write_config(tmp_path / "cfg.json", cube, labels, model=model)
+    out = tmp_path / "outdir"
+    assert main(["run", "--config", str(config), "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_energy_checks_both_checkpoints_before_any_energy(
+    tiny_experiment, tmp_path, monkeypatch, capsys
+):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return dense_energy(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "dense_energy", counted)
+    missing = tmp_path / "missing.ckpt"
+    rc = main(
+        ["energy", "--config", str(tiny_experiment["config"]),
+         "--out-dir", str(tiny_experiment["out"]), "--crop", "0,0,4,4",
+         "--dual-ckpt", str(missing)]
+    )
+    assert rc == 2
+    assert str(missing) in capsys.readouterr().err
+    assert calls == []
 
 
 def test_energy_command_prints_three_lines(tiny_experiment, capsys):
