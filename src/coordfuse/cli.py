@@ -243,9 +243,7 @@ def cmd_run(args) -> int:
     raster_coords = coord_features(*np.indices((h, w)), h, w).reshape(h * w, 2)
     truth = labels.labels.reshape(h * w)
     spec = SplitSpec(fraction=cfg.fraction, seed=cfg.seed, min_per_class=cfg.min_per_class)
-    train_px, test_px = (
-        np.ravel_multi_index(idx.T, (h, w)) for idx in stratified_split(labels, spec)
-    )
+    train_px, test_px = stratified_split(labels, spec)
     train_counts = np.bincount(truth[train_px], minlength=k + 1)[1:]
 
     palette = default_palette(k)

@@ -128,8 +128,9 @@ class SampleSet:
             raise ValueError("coordinate features must lie in [0, 1]")
         if n and self.labels.min() < 1:
             raise ValueError("sample labels must be positive class ids")
-        pairs = np.stack([self.rows, self.cols], axis=1)
-        if len(np.unique(pairs, axis=0)) != n:
+        order = np.lexsort((self.cols, self.rows))
+        rows, cols = self.rows[order], self.cols[order]
+        if ((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])).any():
             raise ValueError("duplicate (row, col) pixel in sample set")
 
     def __len__(self) -> int:
@@ -332,11 +333,11 @@ def coord_features(
 def stratified_split(labels: LabelMap, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
     """Per-class random split of labeled pixels into train and test indices.
 
-    Returns (train, test) as (n, 2) arrays of (row, col) pairs. Every class
-    1..num_classes contributes exactly ``spec.train_count`` pixels to train
-    and the rest to test, shuffled by a generator seeded with ``spec.seed``.
-    Class ids must be contiguous: an id below the largest one with no pixels
-    is an error.
+    Returns (train, test) as 1-d int64 arrays of flat row-major pixel
+    indices, ``row * width + col``. Every class 1..num_classes contributes
+    exactly ``spec.train_count`` pixels to train and the rest to test,
+    shuffled by a generator seeded with ``spec.seed``. Class ids must be
+    contiguous: an id below the largest one with no pixels is an error.
     """
     rng = create_rng(spec.seed)
     n_classes = labels.num_classes
@@ -349,7 +350,7 @@ def stratified_split(labels: LabelMap, spec: SplitSpec) -> tuple[np.ndarray, np.
         raise ValueError(f"class ids must be contiguous 1..{n_classes}; missing ids: {ids}")
     train_parts, test_parts = [], []
     for cls in range(1, n_classes + 1):
-        pix = np.argwhere(labels.labels == cls)  # row-major scan order
+        pix = np.flatnonzero(labels.labels == cls)  # row-major scan order
         total = len(pix)
         if total < spec.min_per_class + 1:
             raise ValueError(
@@ -363,29 +364,27 @@ def stratified_split(labels: LabelMap, spec: SplitSpec) -> tuple[np.ndarray, np.
     return np.concatenate(train_parts), np.concatenate(test_parts)
 
 
-def extract_samples(cube: DataCube, labels: LabelMap, indices: np.ndarray) -> SampleSet:
-    """Gather feature vectors, coordinate features, and labels at `indices`."""
+def extract_samples(cube: DataCube, labels: LabelMap, pixels: np.ndarray) -> SampleSet:
+    """Gather feature vectors, coordinate features, and labels at `pixels`,
+    a 1-d array of flat row-major indices as `stratified_split` returns."""
     if (cube.height, cube.width) != (labels.height, labels.width):
         raise ValueError(
             f"cube {cube.height}x{cube.width} and labels "
             f"{labels.height}x{labels.width} dimensions disagree"
         )
-    indices = np.asarray(indices, dtype=np.int64).reshape(-1, 2)
-    rows, cols = indices[:, 0], indices[:, 1]
-    if len(rows) and (
-        rows.min() < 0
-        or cols.min() < 0
-        or rows.max() >= cube.height
-        or cols.max() >= cube.width
-    ):
+    pixels = np.asarray(pixels, dtype=np.int64)
+    if pixels.ndim != 1:
+        raise ValueError(f"pixel indices must be 1-d, got shape {pixels.shape}")
+    if len(pixels) and (pixels.min() < 0 or pixels.max() >= cube.height * cube.width):
         raise ValueError("sample index outside the image")
-    lab = labels.labels[rows, cols]
+    rows, cols = np.divmod(pixels, cube.width)
+    lab = labels.labels.reshape(-1)[pixels]
     if len(lab) and lab.min() < 1:
-        bad = indices[lab < 1][0]
-        raise ValueError(f"pixel ({bad[0]}, {bad[1]}) is unlabeled")
+        i = np.argmax(lab < 1)
+        raise ValueError(f"pixel ({rows[i]}, {cols[i]}) is unlabeled")
     return SampleSet(
-        rows=rows.copy(),
-        cols=cols.copy(),
+        rows=rows,
+        cols=cols,
         features=cube.values[rows, cols],
         coords=coord_features(rows, cols, cube.height, cube.width),
         labels=lab,

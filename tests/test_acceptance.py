@@ -270,7 +270,7 @@ def test_criterion_5_split_counts_match_reference(capsys):
         pos += population
     labels = LabelMap(flat.reshape(145, 145))
     tr, _ = stratified_split(labels, SplitSpec(0.05, seed=0))
-    got = np.bincount(labels.labels[tr[:, 0], tr[:, 1]], minlength=17)[1:]
+    got = np.bincount(labels.labels.reshape(-1)[tr], minlength=17)[1:]
     matches = int((got == np.array(BENCH_TRAIN_COUNTS)).sum())
     ok = matches >= 14
     report(

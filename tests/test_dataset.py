@@ -117,6 +117,10 @@ def test_sampleset_validation():
         SampleSet(**{**ok, "labels": np.array([0, 1])})
     with pytest.raises(ValueError):
         SampleSet(**{**ok, "rows": np.array([0, 0])})
+    three = dict(features=np.zeros((3, 4)), coords=np.zeros((3, 2)), labels=np.ones(3, int))
+    with pytest.raises(ValueError, match="duplicate"):  # (2, 5) twice, not adjacent
+        SampleSet(rows=np.array([2, 5, 2]), cols=np.array([5, 2, 5]), **three)
+    SampleSet(rows=np.array([2, 5, 2]), cols=np.array([5, 2, 4]), **three)
 
 
 def test_train_count_reference_table():
@@ -427,15 +431,13 @@ def test_stratified_split_counts_and_partition():
     labels = _label_grid()
     spec = SplitSpec(fraction=0.25, seed=3)
     train, test = stratified_split(labels, spec)
-    flat = labels.labels[train[:, 0], train[:, 1]]
-    counts = np.bincount(flat, minlength=4)[1:]
+    for half in (train, test):
+        assert half.dtype == np.int64 and half.ndim == 1
+    counts = np.bincount(labels.labels.reshape(-1)[train], minlength=4)[1:]
     # class sizes 14, 18, 4 -> ceil(0.25 * n) = 4, 5, 2 (clamped to >= 2)
     assert counts.tolist() == [4, 5, 2]
-    all_pixels = {(r, c) for r in range(6) for c in range(6)}
-    got = {tuple(p) for p in np.concatenate([train, test])}
-    assert got == all_pixels
-    assert len(train) + len(test) == 36
-    assert not ({tuple(p) for p in train} & {tuple(p) for p in test})
+    # flat row-major indices row * 6 + col; together each of the 36 once
+    assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(36))
 
 
 def test_stratified_split_determinism():
@@ -468,22 +470,26 @@ def test_stratified_split_rejects_unlabeled_map():
 def test_extract_samples():
     cube = DataCube(np.arange(24, dtype=np.float64).reshape(2, 3, 4))
     labels = LabelMap(np.array([[1, 0, 2], [2, 1, 0]]))
-    samples = extract_samples(cube, labels, np.array([[0, 0], [1, 1], [0, 2]]))
+    samples = extract_samples(cube, labels, np.array([0, 4, 2]))  # (0, 0), (1, 1), (0, 2)
     assert len(samples) == 3
     assert np.array_equal(samples.labels, [1, 1, 2])
     assert np.array_equal(samples.features[0], [0.0, 1.0, 2.0, 3.0])
     assert np.allclose(samples.coords[1], [1.0, 0.5])
-    with pytest.raises(ValueError, match="unlabeled"):
-        extract_samples(cube, labels, np.array([[0, 1]]))
-    with pytest.raises(ValueError, match="outside"):
-        extract_samples(cube, labels, np.array([[5, 0]]))
+    assert np.array_equal(samples.rows, [0, 1, 0]) and np.array_equal(samples.cols, [0, 1, 2])
+    with pytest.raises(ValueError, match=r"pixel \(0, 1\) is unlabeled"):
+        extract_samples(cube, labels, np.array([1]))
+    for outside in (-1, 6):
+        with pytest.raises(ValueError, match="outside"):
+            extract_samples(cube, labels, np.array([outside]))
+    with pytest.raises(ValueError, match="1-d"):  # (row, col) pairs are not indices
+        extract_samples(cube, labels, np.array([[0, 0], [1, 1]]))
 
 
 def test_extract_samples_dimension_mismatch():
     cube = DataCube(np.zeros((2, 2, 3)))
     labels = LabelMap(np.ones((3, 2), dtype=np.int64))
     with pytest.raises(ValueError):
-        extract_samples(cube, labels, np.array([[0, 0]]))
+        extract_samples(cube, labels, np.array([0]))
 
 
 def test_generate_synthetic_shapes_and_ranges():
@@ -586,10 +592,10 @@ def test_ingestion_is_pinned(tmp_path, name):
 
 def test_ingestion_memory_is_bounded(tmp_path):
     h, w, b, k = INGESTION_SHAPES["odd"]
-    # numpy sets some paths up on first use (np.unique along an axis); warm
-    # them so that the peaks below hold only the step's own arrays.
+    # numpy sets some paths up on first use (sorting, fancy indexing); a small
+    # scene warms them so that the peaks below hold only the step's own arrays.
     warm_cube, warm_labels = generate_synthetic(create_rng(0), 6, 5, 4, 3)
-    extract_samples(normalize_cube(warm_cube), warm_labels, np.argwhere(warm_labels.labels))
+    extract_samples(normalize_cube(warm_cube), warm_labels, np.flatnonzero(warm_labels.labels))
 
     (cube, labels), peak = _traced_peak(generate_synthetic, create_rng(5), h, w, b, k)
     # The cube, one noise-draw buffer and a few (h, w) int64 arrays: the
@@ -616,7 +622,7 @@ def test_ingestion_memory_is_bounded(tmp_path):
     assert peak <= 1.1 * norm.values.nbytes
     assert np.array_equal(loaded.values, before)  # the input is not scaled in place
 
-    samples, peak = _traced_peak(extract_samples, norm, labels, np.argwhere(labels.labels))
+    samples, peak = _traced_peak(extract_samples, norm, labels, np.flatnonzero(labels.labels))
     assert peak <= 1.1 * samples.features.nbytes
 
 
