@@ -240,7 +240,7 @@ def cmd_run(args) -> int:
     # Every pixel is a row of the raster arrays; the split picks rows of them.
     h, w = cube.height, cube.width
     raster_features = cube.values.reshape(h * w, cube.bands)
-    raster_coords = coord_features(*np.indices((h, w)), h, w).reshape(h * w, 2)
+    raster_coords = coord_features(h, w).reshape(h * w, 2)
     truth = labels.labels.reshape(h * w)
     spec = SplitSpec(fraction=cfg.fraction, seed=cfg.seed, min_per_class=cfg.min_per_class)
     train_px, test_px = stratified_split(labels, spec)
@@ -318,8 +318,9 @@ def cmd_energy(args) -> int:
     window = cube.values[r0 : r0 + ch, c0 : c0 + cw]
     appearance = window[:, :, cfg.appearance_bands]
     crop_features = window.reshape(ch * cw, cube.bands)
-    # Coordinates stay in the full-image frame.
-    grid = coord_features(*np.indices((cube.height, cube.width)), cube.height, cube.width)
+    # Coordinates stay in the full-image frame: the crop is cut from their
+    # raster as from the cube.
+    grid = coord_features(cube.height, cube.width)
     crop_coords = grid[r0 : r0 + ch, c0 : c0 + cw].reshape(ch * cw, 2)
 
     dual_path = args.dual_ckpt or os.path.join(cfg.out_dir, "model.ckpt")

@@ -310,24 +310,15 @@ def normalize_cube(cube: DataCube) -> DataCube:
     return DataCube(scaled)
 
 
-def coord_features(
-    row: int | np.ndarray, col: int | np.ndarray, height: int, width: int
-) -> np.ndarray:
-    """Pixel position scaled to [0, 1] by the image extent.
-
-    Scalar `row`/`col` give a (2,) vector; arrays give (..., 2).
-    Degenerate single-row or single-column images map that component to 0.
+def coord_features(height: int, width: int) -> np.ndarray:
+    """(height, width, 2) raster of every pixel's (row, col) scaled to [0, 1]
+    by the image extent, aligned with the cube as a latitude/longitude
+    raster would be. A single-row or single-column image maps that
+    component to 0.
     """
-    rows, cols = np.broadcast_arrays(row, col)
-    outside = (rows < 0) | (rows >= height) | (cols < 0) | (cols >= width)
-    if outside.any():
-        i = outside.argmax()
-        raise ValueError(
-            f"pixel ({rows.flat[i]}, {cols.flat[i]}) outside {height}x{width} image"
-        )
-    r = rows / (height - 1) if height > 1 else np.zeros(rows.shape)
-    c = cols / (width - 1) if width > 1 else np.zeros(cols.shape)
-    return np.stack([r, c], axis=-1)
+    r = np.arange(height) / (height - 1) if height > 1 else np.zeros(height)
+    c = np.arange(width) / (width - 1) if width > 1 else np.zeros(width)
+    return np.stack(np.broadcast_arrays(r[:, None], c), axis=-1)
 
 
 def stratified_split(labels: LabelMap, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -386,7 +377,7 @@ def extract_samples(cube: DataCube, labels: LabelMap, pixels: np.ndarray) -> Sam
         rows=rows,
         cols=cols,
         features=cube.values[rows, cols],
-        coords=coord_features(rows, cols, cube.height, cube.width),
+        coords=coord_features(cube.height, cube.width).reshape(-1, 2)[pixels],
         labels=lab,
     )
 

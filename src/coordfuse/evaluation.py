@@ -147,7 +147,7 @@ def render_map(preds: np.ndarray, palette: np.ndarray, path) -> None:
     rgb = palette.astype(np.uint8)[preds]
     with atomic_write(path) as f:
         f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(rgb.tobytes())
+        f.write(rgb)
 
 
 @dataclass
@@ -233,6 +233,8 @@ def dense_energy(
         h, w = w, h
         labels = labeling.reshape(n) - 1
     bands = np.ascontiguousarray(appearance.transpose(2, 0, 1)).reshape(-1, n)
+    if not len(bands):  # no appearance: every distance is 0, as for one zero band
+        bands = np.zeros((1, n))
     onehot = np.zeros((n, k))
     onehot[np.arange(n), labels] = 1.0
     # Positional factors, w1 folded into the row tables of theta_alpha and
@@ -259,8 +261,9 @@ def dense_energy(
         q_rows, q_cols = np.divmod(np.arange(start, stop), w)
         kern = kern_buf[: m * cols].reshape(m, cols)
         tmp = tmp_buf[: m * cols].reshape(m, cols)
-        kern.fill(0.0)
-        for band in bands:
+        np.subtract(bands[0, start:stop, None], bands[0, off:], out=kern)
+        np.square(kern, out=kern)
+        for band in bands[1:]:
             np.subtract(band[start:stop, None], band[off:], out=tmp)
             np.square(tmp, out=tmp)
             kern += tmp

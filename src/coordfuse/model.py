@@ -359,7 +359,7 @@ def save_checkpoint(model: DualBranchModel, path) -> None:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(payload)))
         f.write(payload)
-        f.write(model.theta.astype("<f8", copy=False).tobytes())
+        f.write(np.ascontiguousarray(model.theta, dtype="<f8"))  # theta itself, no copy
 
 
 def load_checkpoint(path) -> DualBranchModel:

@@ -424,9 +424,8 @@ def test_run_writes_what_the_library_pipeline_computes(tiny_experiment, tmp_path
     train_idx, test_idx = stratified_split(labels, SplitSpec(raw["fraction"], raw["seed"]))
     train_set = extract_samples(cube, labels, train_idx)
     test_set = extract_samples(cube, labels, test_idx)
-    rows, cols = np.indices((h, w)).reshape(2, h * w)
     features = cube.values.reshape(h * w, cube.bands)
-    coords = coord_features(rows, cols, h, w)
+    coords = coord_features(h, w).reshape(h * w, 2)
     train_counts = np.bincount(train_set.labels, minlength=k + 1)[1:]
     for prefix, baseline, seed in (("", False, raw["seed"] + 1),
                                    ("baseline_", True, raw["seed"] + 2)):
@@ -563,7 +562,7 @@ def test_energy_zero_weights_equal_unary(tiny_experiment, tmp_path, capsys):
     got = float(printed[1].split("=")[1])
 
     # Independent unary recomputation from the stored dual checkpoint.
-    from coordfuse.dataset import coord_features, normalize_cube
+    from coordfuse.dataset import normalize_cube
     from coordfuse.model import forward
 
     model = load_checkpoint(tiny_experiment["out"] / "model.ckpt")
@@ -571,7 +570,7 @@ def test_energy_zero_weights_equal_unary(tiny_experiment, tmp_path, capsys):
     unary = 0.0
     for r in range(1, 5):
         for c in range(1, 5):
-            spectrum, xy = norm.values[r, c][None], coord_features(r, c, 12, 12)[None]
+            spectrum, xy = norm.values[r, c][None], np.array([[r / 11, c / 11]])
             probs = forward(model, spectrum, xy)[0][0]
             unary += -math.log(max(probs[int(np.argmax(probs))], 1e-12))
     assert abs(got - unary) < 5e-7  # printed value is rounded to 6 digits

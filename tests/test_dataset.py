@@ -409,14 +409,23 @@ def test_normalize_cube_rejects_nonfinite():
 
 
 def test_coord_features():
-    assert np.array_equal(coord_features(0, 0, 10, 20), [0.0, 0.0])
-    assert np.array_equal(coord_features(9, 19, 10, 20), [1.0, 1.0])
-    assert np.allclose(coord_features(3, 5, 7, 11), [0.5, 0.5])
-    assert np.array_equal(coord_features(0, 0, 1, 1), [0.0, 0.0])
-    with pytest.raises(ValueError):
-        coord_features(10, 0, 10, 20)
-    with pytest.raises(ValueError):
-        coord_features(0, -1, 10, 20)
+    grid = coord_features(10, 20)
+    assert grid.shape == (10, 20, 2) and grid.dtype == np.float64
+    assert np.array_equal(grid[0, 0], [0.0, 0.0])
+    assert np.array_equal(grid[0, 19], [0.0, 1.0])
+    assert np.array_equal(grid[9, 0], [1.0, 0.0])
+    assert np.array_equal(grid[9, 19], [1.0, 1.0])
+    assert np.allclose(coord_features(7, 11)[3, 5], [0.5, 0.5])
+    # A single-row or single-column image maps that component to 0.
+    assert np.array_equal(coord_features(1, 1), [[[0.0, 0.0]]])
+    row_image, col_image = coord_features(1, 5), coord_features(4, 1)
+    assert row_image.shape == (1, 5, 2) and col_image.shape == (4, 1, 2)
+    assert np.array_equal(row_image[0], np.stack([np.zeros(5), np.arange(5) / 4], -1))
+    assert np.array_equal(col_image[:, 0], np.stack([np.arange(4) / 3, np.zeros(4)], -1))
+    for h, w in ((10, 20), (7, 11), (3, 145)):
+        rows, cols = np.indices((h, w))
+        want = np.stack([rows / (h - 1), cols / (w - 1)], -1)
+        assert np.array_equal(coord_features(h, w), want)
 
 
 def _label_grid():

@@ -280,6 +280,17 @@ def test_energy_matches_naive_double_loop():
         assert abs(a - b) < 1e-9
 
 
+@pytest.mark.parametrize("bands", [0, 1])
+def test_energy_with_fewer_than_two_appearance_bands(bands):
+    # The first band is written into each block directly; with no band at
+    # all every appearance distance is 0.
+    labeling, probmap, appearance = _random_instance(create_rng(bands), 3, 4, 3, bands)
+    params = CrfParams(w1=1.3, w2=0.7, theta_alpha=2.0, theta_beta=0.4, theta_gamma=1.5)
+    a = dense_energy(labeling, probmap, appearance, params)
+    b = naive_energy(labeling, probmap, appearance, params)
+    assert abs(a - b) < 1e-9
+
+
 def _block_starts(h, w):
     """First pixel of each query block of `dense_energy`: a crop wider than
     tall is transposed, and a block starting in image row r sizes itself to
