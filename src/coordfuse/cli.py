@@ -19,7 +19,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from typing import get_type_hints
 
 import numpy as np
@@ -107,8 +107,13 @@ def _section(cls):
     return field(default_factory=lambda: _parse({}, cls, None), metadata={"section": cls})
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment: inputs, split, output directory and the model, train
+    and crf sections. Every check that needs no data runs at construction
+    and raises UsageError, so a copy made by `dataclasses.replace` is checked
+    too."""
+
     cube: str
     labels: str
     fraction: float = 0.05
@@ -120,51 +125,58 @@ class ExperimentConfig:
     crf: dict = _section(CrfParams)
     appearance_bands: list[int] = field(default_factory=lambda: [0, 1, 2])
 
+    def __post_init__(self):
+        for key in ("cube", "labels", "out_dir"):
+            if not getattr(self, key):
+                raise UsageError(f"{key} must not be an empty path")
+        # The baseline trains with seed + 2, which must still be a 64-bit seed.
+        if not 0 <= self.seed < 2**64 - 2:
+            raise UsageError(f"seed must lie in [0, 2**64 - 2), got {self.seed}")
+        if not self.appearance_bands or min(self.appearance_bands) < 0:
+            raise UsageError("appearance_bands must list non-negative band indices")
+        # The stand-in band count is generous, so only a network no cube fits fails.
+        stand_in = self.model["kernel_len"] + self.model["pool_width"] + 8
+        try:
+            SplitSpec(self.fraction, self.seed, self.min_per_class)
+            TrainConfig(**self.train)
+            CrfParams(**self.crf)
+            self.model_config(num_bands=stand_in, num_classes=2, baseline=False)
+        except ValueError as exc:
+            raise UsageError(f"bad config value: {exc}") from exc
+
     def model_config(self, num_bands: int, num_classes: int, baseline: bool) -> ModelConfig:
         return ModelConfig(
             num_bands=num_bands, num_classes=num_classes, baseline=baseline, **self.model
         )
 
 
-def _check_seed(seed: int) -> None:
-    # The baseline trains with seed + 2, which must still be a 64-bit seed.
-    if not 0 <= seed < 2**64 - 2:
-        raise UsageError(f"seed must lie in [0, 2**64 - 2), got {seed}")
+def _unique_keys(pairs: list) -> dict:
+    obj = {}
+    for key, val in pairs:
+        if key in obj:
+            raise UsageError(f"duplicate config key {key!r}")
+        obj[key] = val
+    return obj
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse and fully validate an experiment config; unknown keys are errors."""
+    """The `ExperimentConfig` in the JSON file at `path`. An unreadable file,
+    malformed JSON, an unknown or repeated key, a value of the wrong type and
+    any value `ExperimentConfig` rejects raise UsageError."""
     try:
         with open(path) as f:
-            raw = json.load(f)
+            raw = json.load(f, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:  # a JSONDecodeError, or an integer literal too long to read
+    # A JSONDecodeError, an integer literal too long to read, or nesting too deep.
+    except (ValueError, RecursionError) as exc:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError(f"config {path} must be a JSON object")
     try:
-        cfg = ExperimentConfig(**_parse(raw, ExperimentConfig, None))
+        return ExperimentConfig(**_parse(raw, ExperimentConfig, None))
     except TypeError as exc:  # a value of the wrong type, from numerics.typed
         raise UsageError(str(exc)) from exc
-
-    if not 0.0 < cfg.fraction < 1.0:
-        raise UsageError(f"fraction must lie in (0, 1), got {cfg.fraction}")
-    _check_seed(cfg.seed)
-    if cfg.min_per_class < 0:
-        raise UsageError(f"min_per_class must be non-negative, got {cfg.min_per_class}")
-    if min(cfg.appearance_bands) < 0:
-        raise UsageError("appearance_bands must be non-negative band indices")
-    # Fail on bad hyperparameter values now, not mid-run. The dummy band
-    # count is generous so only data-independent problems trip here.
-    try:
-        TrainConfig(**cfg.train).validate()
-        CrfParams(**cfg.crf).validate()
-        dummy_bands = cfg.model["kernel_len"] + cfg.model["pool_width"] + 8
-        cfg.model_config(num_bands=dummy_bands, num_classes=2, baseline=False).validate()
-    except ValueError as exc:
-        raise UsageError(f"bad config value: {exc}") from exc
-    return cfg
 
 
 def cmd_convert(args) -> int:
@@ -179,7 +191,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    _check_seed(args.seed)
+    cfg = ExperimentConfig(cube=args.cube, labels=args.labels, seed=args.seed)  # checks seed
     rng = create_rng(args.seed)
     try:
         cube, labels = generate_synthetic(
@@ -193,13 +205,13 @@ def cmd_synth(args) -> int:
             coordinate_separable=args.coordinate_separable,
         )
         if args.emit_config:
-            cfg = ExperimentConfig(cube=args.cube, labels=args.labels, seed=args.seed)
-            cfg.appearance_bands = [b for b in cfg.appearance_bands if b < cube.bands]
             # Shrink the kernel when the cube is too narrow for the default.
-            max_kernel = cube.bands - cfg.model["pool_width"] + 1
-            cfg.model["kernel_len"] = max(1, min(cfg.model["kernel_len"], max_kernel))
+            kernel = min(cfg.model["kernel_len"], cube.bands - cfg.model["pool_width"] + 1)
+            model = {**cfg.model, "kernel_len": max(1, kernel)}
+            bands = [b for b in cfg.appearance_bands if b < cube.bands]
+            cfg = replace(cfg, appearance_bands=bands, model=model)
             # Run's own checks, so no file is written for a config run rejects.
-            cfg.model_config(cube.bands, labels.num_classes, False).validate()
+            cfg.model_config(cube.bands, labels.num_classes, False)
             stratified_split(labels, SplitSpec(cfg.fraction, cfg.seed, cfg.min_per_class))
     except ValueError as exc:  # every one is a bad argument
         raise UsageError(str(exc)) from exc
@@ -220,10 +232,9 @@ def cmd_synth(args) -> int:
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
-        _check_seed(args.seed)
-        cfg.seed = args.seed
+        cfg = replace(cfg, seed=args.seed)
     if args.out_dir is not None:
-        cfg.out_dir = args.out_dir
+        cfg = replace(cfg, out_dir=args.out_dir)
 
     cube = load_cube(cfg.cube)
     labels = load_labels(cfg.labels)
@@ -300,7 +311,7 @@ def _parse_crop(text: str) -> tuple[int, int, int, int]:
 def cmd_energy(args) -> int:
     cfg = load_config(args.config)
     if args.out_dir is not None:
-        cfg.out_dir = args.out_dir
+        cfg = replace(cfg, out_dir=args.out_dir)
     crop = _parse_crop(args.crop)
 
     cube = load_cube(cfg.cube)

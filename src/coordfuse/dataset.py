@@ -137,23 +137,28 @@ class SampleSet:
         return len(self.rows)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SplitSpec:
     """Per-class training fraction plus the seed that drives the shuffle.
 
     The training count for a class of n pixels is
     ``clamp(ceil(fraction * n), min_per_class, n - 1)``, with `fraction`
     taken as the exact decimal it prints as (0.05 is 1/20); the test set is
-    the remaining labeled pixels of the class.
+    the remaining labeled pixels of the class. A fraction outside (0, 1) or
+    a negative `min_per_class` raises ValueError at construction.
     """
 
     fraction: float
     seed: int = 0
     min_per_class: int = 2
 
-    def train_count(self, class_total: int) -> int:
+    def __post_init__(self):
         if not 0.0 < self.fraction < 1.0:
-            raise ValueError(f"fraction must be in (0, 1), got {self.fraction}")
+            raise ValueError(f"fraction must lie in (0, 1), got {self.fraction}")
+        if self.min_per_class < 0:
+            raise ValueError(f"min_per_class must be non-negative, got {self.min_per_class}")
+
+    def train_count(self, class_total: int) -> int:
         # Exact rational ceil of the printed decimal; float rounding must not
         # flip counts like ceil(0.05 * 1000) to 51.
         frac = Fraction(repr(float(self.fraction)))
@@ -205,7 +210,7 @@ def _read_raster(path, magic: bytes, n_dims: int, dtype: str, out_dtype) -> np.n
 
 
 def load_cube(path) -> DataCube:
-    """Read a cube file, validating magic, dimensions, and the file size
+    """Read a cube file, checking magic, dimensions, and the file size
     before reading the payload."""
     return DataCube(_read_raster(path, CUBE_MAGIC, 3, "<f4", np.float64))
 
@@ -228,7 +233,7 @@ def save_cube(cube: DataCube, path) -> None:
 
 
 def load_labels(path) -> LabelMap:
-    """Read a label file, validating magic, dimensions, and the file size
+    """Read a label file, checking magic, dimensions, and the file size
     before reading the payload."""
     return LabelMap(_read_raster(path, LABEL_MAGIC, 2, "<u2", np.int64))
 

@@ -41,8 +41,12 @@ class CheckpointError(ValueError):
     """A checkpoint file is malformed or inconsistent with its config."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
+    """Layer sizes of one network, checked when made: a field of the wrong
+    type raises TypeError, a network that cannot be built ValueError. It is
+    frozen; `dataclasses.replace` makes a changed copy, checked the same way."""
+
     num_bands: int
     num_classes: int
     conv_filters: int = 20
@@ -66,8 +70,7 @@ class ModelConfig:
     def flat_dim(self) -> int:
         return self.conv_filters * self.pooled_len
 
-    def validate(self) -> None:
-        """TypeError for a field of the wrong type, ValueError for a bad value."""
+    def __post_init__(self):
         hints = get_type_hints(ModelConfig)
         for f in fields(self):
             typed(f.name, getattr(self, f.name), hints[f.name])
@@ -193,7 +196,6 @@ def build(config: ModelConfig, rng: np.random.Generator) -> DualBranchModel:
     Weights are drawn in param_shapes order (conv, fc, coord1, coord2, head)
     so a seed pins every parameter.
     """
-    config.validate()
     model = DualBranchModel(config, np.zeros(param_count(config)))
     for name, p in model.parameters().items():
         if name == "conv.weights":
@@ -377,8 +379,7 @@ def load_checkpoint(path) -> DualBranchModel:
         raise CheckpointError(f"{path}: unsupported version {version}")
     try:
         cfg = ModelConfig(**json.loads(data[12 : 12 + cfg_len]))
-        cfg.validate()
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise CheckpointError(f"{path}: bad config block: {exc}") from exc
 
     offset = 12 + cfg_len

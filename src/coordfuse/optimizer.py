@@ -27,7 +27,7 @@ class NumericalError(ArithmeticError):
     """A loss or update became non-finite during training."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-3
     beta1: float = 0.9
@@ -36,7 +36,7 @@ class TrainConfig:
     batch_size: int = 64
     max_epochs: int = 500
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(
                 f"learning rate must be positive and finite, got {self.learning_rate}"
@@ -139,7 +139,6 @@ def train(
     `rng` drives both the epoch shuffles and the dropout masks. Labels are
     1-based.
     """
-    cfg.validate()
     features = np.asarray(features, dtype=np.float64)
     coords = np.asarray(coords, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)

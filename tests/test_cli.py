@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import math
@@ -8,7 +9,14 @@ import numpy as np
 import pytest
 
 from coordfuse import cli as cli_module
-from coordfuse.cli import MAX_CROP_PIXELS, UsageError, _parse_crop, load_config, main
+from coordfuse.cli import (
+    MAX_CROP_PIXELS,
+    ExperimentConfig,
+    UsageError,
+    _parse_crop,
+    load_config,
+    main,
+)
 from coordfuse.dataset import (
     DataCube,
     LabelMap,
@@ -122,6 +130,13 @@ def test_load_config_defaults(tmp_path):
         ('{"cube": "a", "labels": "b", "train": {"learning_rate": -1}}', "learning rate"),
         ("[1, 2]", "object"),
         ("{not json", "JSON"),
+        pytest.param("[" * 200_000, "JSON", id="nesting-too-deep-to-parse"),
+        # json keeps the last of two equal keys, which would drop 'max_epochs'.
+        ('{"cube": "a", "labels": "b", "train": {"max_epochs": 3}, "train": {}}',
+         "duplicate config key 'train'"),
+        ('{"cube": "", "labels": "b"}', "cube must not be an empty path"),
+        ('{"cube": "a", "labels": ""}', "labels must not be an empty path"),
+        ('{"cube": "a", "labels": "b", "out_dir": ""}', "out_dir must not be an empty path"),
         ('{"cube": "a", "labels": "b", "seed": 1.7}', "seed"),
         ('{"cube": "a", "labels": "b", "seed": "3"}', "seed"),
         ('{"cube": "a", "labels": "b", "seed": true}', "seed"),
@@ -174,6 +189,26 @@ def test_load_config_rejects(tmp_path, body, message):
     path.write_text(body)
     with pytest.raises(UsageError, match=message):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [ModelConfig(num_bands=16, num_classes=3), TrainConfig(), CrfParams(), SplitSpec(0.05),
+     ExperimentConfig(cube="a", labels="b")],
+    ids=lambda config: type(config).__name__,
+)
+def test_config_objects_are_frozen(config):
+    name = dataclasses.fields(config)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, name, getattr(config, name))
+    assert not hasattr(config, "validate")
+
+
+def test_a_bad_config_object_cannot_be_made():
+    with pytest.raises(ValueError, match="betas"):
+        TrainConfig(beta1=1.0)
+    with pytest.raises(ValueError, match="min_per_class"):
+        SplitSpec(0.05, min_per_class=-1)
 
 
 def test_load_config_missing_file(tmp_path):
@@ -398,6 +433,22 @@ def test_seed_override_changes_results(tiny_experiment, tmp_path):
     a = (tiny_experiment["out"] / "model.ckpt").read_bytes()
     b = (out2 / "model.ckpt").read_bytes()
     assert a != b
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [(["--out-dir", ""], "out_dir must not be an empty path"),
+     (["--seed", "18446744073709551614"], "seed must lie in [0, 2**64 - 2)")],
+)
+def test_run_override_is_checked_before_any_output(
+    tmp_path, monkeypatch, capsys, override, message
+):
+    config = write_config(tmp_path / "cfg.json", tmp_path / "c.hcube", tmp_path / "l.hlbl")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", str(config), *override]) == 1
+    err = capsys.readouterr().err
+    assert message in err and len(err.splitlines()) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_baseline_only_skips_dual(tiny_experiment, tmp_path):
@@ -701,6 +752,21 @@ def test_energy_mistyped_checkpoint_config_exits_2(tiny_experiment, tmp_path, ca
     captured = capsys.readouterr()
     assert "num_bands must be an integer" in captured.err
     assert "dual_energy" not in captured.out
+
+
+def test_energy_deeply_nested_checkpoint_config_exits_2(tiny_experiment, tmp_path, capsys):
+    blob = (tiny_experiment["out"] / "model.ckpt").read_bytes()
+    nested = b"[" * 200_000
+    bad = tmp_path / "nested.ckpt"
+    bad.write_bytes(blob[:8] + len(nested).to_bytes(4, "little") + nested)
+    rc = main(
+        ["energy", "--config", str(tiny_experiment["config"]),
+         "--out-dir", str(tiny_experiment["out"]), "--crop", "0,0,4,4",
+         "--dual-ckpt", str(bad)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bad config block: maximum recursion depth" in err and len(err.splitlines()) == 1
 
 
 def test_readme_config_matches_emitted_defaults(tmp_path):

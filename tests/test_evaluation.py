@@ -184,14 +184,14 @@ def test_render_map_validation(tmp_path):
 
 
 def test_crf_params_validation():
-    CrfParams().validate()
+    CrfParams()
     for field in ("theta_alpha", "theta_beta", "theta_gamma"):
         # 2 theta^2 overflows, underflows to 0, or underflows to a subnormal.
         for theta in (0.0, 1e200, 1e-200, 1e-154):
             with pytest.raises(ValueError, match=field):
-                CrfParams(**{field: theta}).validate()
+                CrfParams(**{field: theta})
         for theta in (1.1e-154, 9e153):
-            CrfParams(**{field: theta}).validate()
+            CrfParams(**{field: theta})
 
 
 def naive_energy(labeling, probmap, appearance, params):

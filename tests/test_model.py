@@ -70,20 +70,20 @@ def test_published_architecture_parameter_count():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ModelConfig(num_bands=8, num_classes=3, kernel_len=10).validate()
+        ModelConfig(num_bands=8, num_classes=3, kernel_len=10)
     with pytest.raises(ValueError):
-        ModelConfig(num_bands=10, num_classes=3, kernel_len=10, pool_width=2).validate()
+        ModelConfig(num_bands=10, num_classes=3, kernel_len=10, pool_width=2)
     with pytest.raises(ValueError):
-        ModelConfig(num_bands=16, num_classes=1).validate()
+        ModelConfig(num_bands=16, num_classes=1)
     with pytest.raises(ValueError):
-        ModelConfig(num_bands=16, num_classes=3, keep_prob=0.0).validate()
+        ModelConfig(num_bands=16, num_classes=3, keep_prob=0.0)
     with pytest.raises(ValueError):
-        ModelConfig(num_bands=16, num_classes=3, conv_filters=0).validate()
+        ModelConfig(num_bands=16, num_classes=3, conv_filters=0)
     for bad in ({"num_bands": "16"}, {"conv_filters": 4.0}, {"num_classes": True},
                 {"keep_prob": "x"}, {"baseline": 1}):
         with pytest.raises(TypeError, match=next(iter(bad))):
-            ModelConfig(**{"num_bands": 16, "num_classes": 3, **bad}).validate()
-    ModelConfig(num_bands=16, num_classes=3).validate()
+            ModelConfig(**{"num_bands": 16, "num_classes": 3, **bad})
+    ModelConfig(num_bands=16, num_classes=3)
 
 
 def test_build_shapes_and_zero_biases():

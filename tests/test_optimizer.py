@@ -97,7 +97,7 @@ def test_adam_step_detects_nonfinite_parameter():
 
 
 def test_train_config_validation():
-    TrainConfig().validate()
+    TrainConfig()
     bad = [
         dict(learning_rate=0.0),
         dict(beta1=1.0),
@@ -108,7 +108,7 @@ def test_train_config_validation():
     ]
     for kwargs in bad:
         with pytest.raises(ValueError):
-            TrainConfig(**kwargs).validate()
+            TrainConfig(**kwargs)
 
 
 def _toy_problem(n_per_class=20, seed=2):
