@@ -16,6 +16,7 @@ the same inputs write byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -76,8 +77,9 @@ _RUN_SET_FIELDS = ("num_bands", "num_classes", "baseline")
 
 def _parse(raw, cls, name: str | None) -> dict:
     """The config keys of dataclass `cls` read from the JSON object `raw`: a
-    value given is typed, a section is parsed the same way, a missing key
-    takes its default. `name` is the section's key, None at the top level."""
+    value given is typed, a missing key takes its default. `name` is the
+    section's key, None at the top level, where a section passes through to
+    `ExperimentConfig` as given. Every fault raises UsageError."""
     if not isinstance(raw, dict):
         raise UsageError(f"config section {name!r} must be an object")
     keys = {f.name: f for f in fields(cls) if f.name not in _RUN_SET_FIELDS}
@@ -88,11 +90,13 @@ def _parse(raw, cls, name: str | None) -> dict:
     hints = get_type_hints(cls)
     values = {}
     for key, f in keys.items():
-        section = f.metadata.get("section")
-        if key in raw and section:
-            values[key] = _parse(raw[key], section, key)
+        if key in raw and hints[key] is dict:
+            values[key] = raw[key]
         elif key in raw:
-            values[key] = typed(f"{name}.{key}" if name else key, raw[key], hints[key])
+            try:
+                values[key] = typed(f"{name}.{key}" if name else key, raw[key], hints[key])
+            except TypeError as exc:
+                raise UsageError(str(exc)) from exc
         elif f.default_factory is not MISSING:
             values[key] = f.default_factory()
         elif f.default is not MISSING:
@@ -102,30 +106,28 @@ def _parse(raw, cls, name: str | None) -> dict:
     return values
 
 
-def _section(cls):
-    """A config section holding the keys of `cls`, defaulting to its defaults."""
-    return field(default_factory=lambda: _parse({}, cls, None), metadata={"section": cls})
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: inputs, split, output directory and the model, train
-    and crf sections. Every check that needs no data runs at construction
-    and raises UsageError, so a copy made by `dataclasses.replace` is checked
-    too."""
+    and crf sections. Construction completes each section, a dict, with the
+    defaults of its config class, types its values and rejects unknown keys.
+    Every check that needs no data runs then too and raises UsageError, so a
+    copy made by `dataclasses.replace` is checked as well."""
 
     cube: str
     labels: str
     fraction: float = 0.05
     seed: int = 0
-    min_per_class: int = 2
+    min_per_class: int = SplitSpec.min_per_class
     out_dir: str = "out"
-    model: dict = _section(ModelConfig)
-    train: dict = _section(TrainConfig)
-    crf: dict = _section(CrfParams)
+    model: dict = field(default_factory=dict)
+    train: dict = field(default_factory=dict)
+    crf: dict = field(default_factory=dict)
     appearance_bands: list[int] = field(default_factory=lambda: [0, 1, 2])
 
     def __post_init__(self):
+        for key, cls in (("model", ModelConfig), ("train", TrainConfig), ("crf", CrfParams)):
+            object.__setattr__(self, key, _parse(getattr(self, key), cls, key))
         for key in ("cube", "labels", "out_dir"):
             if not getattr(self, key):
                 raise UsageError(f"{key} must not be an empty path")
@@ -173,16 +175,30 @@ def load_config(path) -> ExperimentConfig:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError(f"config {path} must be a JSON object")
-    try:
-        return ExperimentConfig(**_parse(raw, ExperimentConfig, None))
-    except TypeError as exc:  # a value of the wrong type, from numerics.typed
-        raise UsageError(str(exc)) from exc
+    return ExperimentConfig(**_parse(raw, ExperimentConfig, None))
+
+
+def _write_all(outputs: list) -> None:
+    """Call `write(value, path)` for each (write, value, path) of `outputs`;
+    if one raises, first remove the files the earlier ones wrote."""
+    for i, (write, value, path) in enumerate(outputs):
+        try:
+            write(value, path)
+        except BaseException:
+            for *_, written in outputs[:i]:
+                os.unlink(written)
+            raise
+
+
+def _save_config(cfg: ExperimentConfig, path) -> None:
+    with atomic_write(path, "w") as f:
+        json.dump(asdict(cfg), f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def cmd_convert(args) -> int:
     cube, labels = from_csv(args.csv)
-    save_cube(cube, args.cube)
-    save_labels(labels, args.labels)
+    _write_all([(save_cube, cube, args.cube), (save_labels, labels, args.labels)])
     print(
         f"wrote {cube.height}x{cube.width}x{cube.bands} cube to {args.cube}, "
         f"{labels.num_classes} classes to {args.labels}"
@@ -215,16 +231,15 @@ def cmd_synth(args) -> int:
             stratified_split(labels, SplitSpec(cfg.fraction, cfg.seed, cfg.min_per_class))
     except ValueError as exc:  # every one is a bad argument
         raise UsageError(str(exc)) from exc
-    save_cube(cube, args.cube)
-    save_labels(labels, args.labels)
+    outputs = [(save_cube, cube, args.cube), (save_labels, labels, args.labels)]
+    if args.emit_config:
+        outputs.append((_save_config, cfg, args.emit_config))
+    _write_all(outputs)
     print(
         f"wrote synthetic {cube.height}x{cube.width}x{cube.bands} cube "
         f"with {labels.num_classes} classes"
     )
     if args.emit_config:
-        with atomic_write(args.emit_config, "w") as f:
-            json.dump(asdict(cfg), f, indent=2, sort_keys=True)
-            f.write("\n")
         print(f"wrote config to {args.emit_config}")
     return EXIT_OK
 
@@ -385,8 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, default=64)
     p.add_argument("--bands", type=int, default=30)
     p.add_argument("--classes", type=int, default=6)
-    p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--overlap", type=float, default=0.0)
+    synth_defaults = inspect.signature(generate_synthetic).parameters
+    p.add_argument("--noise", type=float, default=synth_defaults["noise"].default)
+    p.add_argument("--overlap", type=float, default=synth_defaults["overlap"].default)
     p.add_argument(
         "--coordinate-separable",
         action="store_true",

@@ -111,27 +111,13 @@ class LabelMap:
 
 @dataclass
 class SampleSet:
-    """Pixel samples as parallel arrays: position, features, coords, label."""
+    """Pixel samples as parallel arrays, as `extract_samples` gathers and checks them."""
 
     rows: np.ndarray  # (n,) int64
     cols: np.ndarray  # (n,) int64
     features: np.ndarray  # (n, B) float64
     coords: np.ndarray  # (n, 2) float64 in [0, 1]
     labels: np.ndarray  # (n,) int64, 1-based class ids
-
-    def __post_init__(self):
-        n = len(self.rows)
-        for name in ("cols", "features", "coords", "labels"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"{name} length disagrees with rows ({n})")
-        if n and (self.coords.min() < 0.0 or self.coords.max() > 1.0):
-            raise ValueError("coordinate features must lie in [0, 1]")
-        if n and self.labels.min() < 1:
-            raise ValueError("sample labels must be positive class ids")
-        order = np.lexsort((self.cols, self.rows))
-        rows, cols = self.rows[order], self.cols[order]
-        if ((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])).any():
-            raise ValueError("duplicate (row, col) pixel in sample set")
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -362,7 +348,8 @@ def stratified_split(labels: LabelMap, spec: SplitSpec) -> tuple[np.ndarray, np.
 
 def extract_samples(cube: DataCube, labels: LabelMap, pixels: np.ndarray) -> SampleSet:
     """Gather feature vectors, coordinate features, and labels at `pixels`,
-    a 1-d array of flat row-major indices as `stratified_split` returns."""
+    a 1-d array of flat row-major indices as `stratified_split` returns. A
+    pixel outside the image, given twice or unlabeled raises ValueError."""
     if (cube.height, cube.width) != (labels.height, labels.width):
         raise ValueError(
             f"cube {cube.height}x{cube.width} and labels "
@@ -373,6 +360,9 @@ def extract_samples(cube: DataCube, labels: LabelMap, pixels: np.ndarray) -> Sam
         raise ValueError(f"pixel indices must be 1-d, got shape {pixels.shape}")
     if len(pixels) and (pixels.min() < 0 or pixels.max() >= cube.height * cube.width):
         raise ValueError("sample index outside the image")
+    ordered = np.sort(pixels)
+    if (ordered[1:] == ordered[:-1]).any():
+        raise ValueError("duplicate pixel index in sample set")
     rows, cols = np.divmod(pixels, cube.width)
     lab = labels.labels.reshape(-1)[pixels]
     if len(lab) and lab.min() < 1:

@@ -44,8 +44,9 @@ class CheckpointError(ValueError):
 @dataclass(frozen=True)
 class ModelConfig:
     """Layer sizes of one network, checked when made: a field of the wrong
-    type raises TypeError, a network that cannot be built ValueError. It is
-    frozen; `dataclasses.replace` makes a changed copy, checked the same way."""
+    type raises TypeError, a network that cannot be built ValueError. An int
+    `keep_prob` is stored as a float, so equal configs save equal checkpoints.
+    It is frozen; `dataclasses.replace` makes a changed copy, checked the same way."""
 
     num_bands: int
     num_classes: int
@@ -73,7 +74,7 @@ class ModelConfig:
     def __post_init__(self):
         hints = get_type_hints(ModelConfig)
         for f in fields(self):
-            typed(f.name, getattr(self, f.name), hints[f.name])
+            object.__setattr__(self, f.name, typed(f.name, getattr(self, f.name), hints[f.name]))
         widths = [getattr(self, f.name) for f in fields(self) if hints[f.name] is int]
         if min(widths) < 1:
             raise ValueError(f"all widths must be positive: {self}")

@@ -1,8 +1,12 @@
 import dataclasses
+import hashlib
 import importlib
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +49,7 @@ from coordfuse.optimizer import TrainConfig, train
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_config(path, cube, labels, **overrides):
@@ -209,6 +214,17 @@ def test_a_bad_config_object_cannot_be_made():
         TrainConfig(beta1=1.0)
     with pytest.raises(ValueError, match="min_per_class"):
         SplitSpec(0.05, min_per_class=-1)
+    with pytest.raises(UsageError, match=r"train\.learning_rate must be a number, got 'x'"):
+        ExperimentConfig(cube="a", labels="b", train={"learning_rate": "x"})
+
+
+def test_experiment_config_completes_its_sections():
+    defaults = ExperimentConfig(cube="a", labels="b")
+    cfg = ExperimentConfig(cube="a", labels="b", model={"dense_width": 5}, crf={"w1": 2})
+    assert cfg.model == {**defaults.model, "dense_width": 5}
+    assert cfg.crf == {**defaults.crf, "w1": 2.0} and isinstance(cfg.crf["w1"], float)
+    assert cfg.train == defaults.train == dataclasses.asdict(TrainConfig())
+    assert dataclasses.replace(cfg, model={"kernel_len": 3}).model["dense_width"] == 100
 
 
 def test_load_config_missing_file(tmp_path):
@@ -261,6 +277,33 @@ def test_convert_rejects_before_writing(tmp_path, capsys, body, message):
     assert main(["convert", str(csv), str(cube_path), str(labels_path)]) == 2
     assert message in capsys.readouterr().err
     assert not cube_path.exists() and not labels_path.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["synth", "a.hcube", "a.hlbl", "--height", "12", "--width", "12", "--bands", "12",
+         "--classes", "3", "--emit-config", "nodir/cfg.json"],
+        ["synth", "a.hcube", "nodir/a.hlbl", "--height", "12", "--width", "12"],
+        ["convert", "t.csv", "d.hcube", "nodir/d.hlbl"],
+    ],
+    ids=["synth-config", "synth-labels", "convert-labels"],
+)
+def test_a_failed_write_leaves_no_output(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.csv").write_text("0,0,1,0.5\n0,1,2,0.25\n")
+    assert main(command) == 2
+    assert "data error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+
+def test_a_failed_write_keeps_an_output_it_did_not_reach(tmp_path):
+    csv, labels_path = tmp_path / "t.csv", tmp_path / "l.hlbl"
+    csv.write_text("0,0,1,0.5\n")
+    labels_path.write_bytes(b"old")
+    cube_path = tmp_path / "nodir" / "c.hcube"
+    assert main(["convert", str(csv), str(cube_path), str(labels_path)]) == 2
+    assert labels_path.read_bytes() == b"old"
 
 
 def test_convert_missing_csv_exits_2(tmp_path):
@@ -767,6 +810,57 @@ def test_energy_deeply_nested_checkpoint_config_exits_2(tiny_experiment, tmp_pat
     assert rc == 2
     err = capsys.readouterr().err
     assert "bad config block: maximum recursion depth" in err and len(err.splitlines()) == 1
+
+
+# sha256 of the README quickstart's files and stdouts, run through the CLI
+# at one BLAS thread with `train.max_epochs` set to 10 in the emitted config.
+QUICKSTART_SHA256 = {
+    "config.json": "4131a1c5d30c95b81f110c07b9141ddb5e168e2984739e1e95aa2246158c7355",
+    "scene.hcube": "d45f115efec8ef5755fc0e75b785763542b722cc91b09a096281f52c3a523319",
+    "scene.hlbl": "1a06de8d59c0e94f259af6dd835587b1a8639eb77460d4936feab5f5c45ae075",
+    "out/report.json": "f8da369e48d43480494a9e361aec03ca8330fe2a3520ae255690dfd7348a9fd9",
+    "out/map.ppm": "ef8df614745c36690c2ca8467ee2e634101de905372b3e7a14f170d2425cffa8",
+    "out/model.ckpt": "7fafeb8d5fdb2d4c5fc71df78d49df754f192681b5bd65ca80e86c0c8e0ad491",
+    "out/train_log.csv":
+        "687211bcae0aa2e84e451cd4cde93bae9aefa3880e51c46fccf2d4c357ca88b1",
+    "out/baseline_report.json":
+        "cae45cf3d39617b95b5672c1d0af28e137115416fa204bab13af13b10110d316",
+    "out/baseline_map.ppm":
+        "40c0e7a2947071a40632f40b56382695b6c9875d8528aefc66af9c59c3d90263",
+    "out/baseline_model.ckpt":
+        "865561a71de6fedbf37a2a8db742d81690be91f29b96e18cb28c47c4be17ba17",
+    "out/baseline_train_log.csv":
+        "be88d5eecc6d9601539ea545b2825a5f01d448855b8fe473832a9dfc0bd0ba92",
+    "synth stdout": "73fb088135d4967ba8f605b764ed104152be5fa83139d5b0b2afbae4cce00e93",
+    "run stdout": "f2470762145c3eab17fa3f2033f67a96c45b15c49627814e06d03a9b94dae2fa",
+    "energy stdout": "65af2ef6d7550f2f5e4349fd746879953d59ba1c8d999237a79c051eddc637e0",
+}
+
+
+def test_quickstart_is_pinned(tmp_path):
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": pythonpath}
+
+    def coordfuse(*args):
+        done = subprocess.run([sys.executable, "-m", "coordfuse.cli", *args], cwd=tmp_path,
+                              env=env, capture_output=True, check=True)
+        return done.stdout
+
+    got = {"synth stdout": coordfuse("synth", "scene.hcube", "scene.hlbl",
+                                     "--coordinate-separable", "--emit-config", "config.json")}
+    config = tmp_path / "config.json"
+    emitted = config.read_bytes()
+    raw = json.loads(emitted)
+    raw["train"]["max_epochs"] = 10
+    config.write_text(json.dumps(raw))
+    got["run stdout"] = coordfuse("run", "--config", "config.json", "--out-dir", "out")
+    got["energy stdout"] = coordfuse("energy", "--config", "config.json", "--out-dir", "out",
+                                     "--crop", "0,0,64,64")
+    got.update((name, (tmp_path / name).read_bytes())
+               for name in QUICKSTART_SHA256 if "stdout" not in name)
+    got["config.json"] = emitted
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in got.items()}
+    assert digests == QUICKSTART_SHA256
 
 
 def test_readme_config_matches_emitted_defaults(tmp_path):

@@ -14,7 +14,6 @@ from coordfuse.dataset import (
     DataCube,
     DimensionOverflowError,
     LabelMap,
-    SampleSet,
     SplitSpec,
     TruncatedPayloadError,
     coord_features,
@@ -101,26 +100,17 @@ def test_labelmap_validation():
 
 
 def test_sampleset_validation():
-    ok = dict(
-        rows=np.array([0, 1]),
-        cols=np.array([0, 0]),
-        features=np.zeros((2, 4)),
-        coords=np.zeros((2, 2)),
-        labels=np.array([1, 2]),
-    )
-    SampleSet(**ok)
-    with pytest.raises(ValueError):
-        SampleSet(**{**ok, "labels": np.array([1])})
-    with pytest.raises(ValueError):
-        SampleSet(**{**ok, "coords": np.full((2, 2), 1.5)})
-    with pytest.raises(ValueError):
-        SampleSet(**{**ok, "labels": np.array([0, 1])})
-    with pytest.raises(ValueError):
-        SampleSet(**{**ok, "rows": np.array([0, 0])})
-    three = dict(features=np.zeros((3, 4)), coords=np.zeros((3, 2)), labels=np.ones(3, int))
+    # extract_samples is the one producer of a SampleSet and checks its
+    # pixels; test_extract_samples covers the unlabeled and outside ones.
+    cube = DataCube(np.zeros((7, 7, 4)))
+    labels = LabelMap(np.ones((7, 7), dtype=np.int64))
+    with pytest.raises(ValueError, match="duplicate"):
+        extract_samples(cube, labels, np.array([0, 0]))
     with pytest.raises(ValueError, match="duplicate"):  # (2, 5) twice, not adjacent
-        SampleSet(rows=np.array([2, 5, 2]), cols=np.array([5, 2, 5]), **three)
-    SampleSet(rows=np.array([2, 5, 2]), cols=np.array([5, 2, 4]), **three)
+        extract_samples(cube, labels, np.array([2 * 7 + 5, 5 * 7 + 2, 2 * 7 + 5]))
+    samples = extract_samples(cube, labels, np.array([2 * 7 + 5, 5 * 7 + 2, 2 * 7 + 4]))
+    assert np.array_equal(samples.rows, [2, 5, 2]) and np.array_equal(samples.cols, [5, 2, 4])
+    assert samples.features.shape == (3, 4) and samples.coords.shape == (3, 2)
 
 
 def test_train_count_reference_table():

@@ -281,6 +281,16 @@ def test_checkpoint_round_trip(tmp_path, baseline):
     assert np.array_equal(forward(model, x, c)[0], forward(loaded, x, c)[0])
 
 
+def test_equal_configs_save_identical_checkpoints(tmp_path):
+    paths = []
+    for keep_prob in (1, 1.0):
+        cfg = ModelConfig(num_bands=12, num_classes=3, keep_prob=keep_prob)
+        assert isinstance(cfg.keep_prob, float)
+        paths.append(tmp_path / f"{keep_prob!r}.ckpt")
+        save_checkpoint(build(cfg, create_rng(0)), paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 def test_checkpoint_file_layout(tmp_path):
     model = small_model()
     path = tmp_path / "m.ckpt"
