@@ -20,8 +20,8 @@ import inspect
 import json
 import os
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
-from typing import get_type_hints
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -54,8 +54,8 @@ from coordfuse.model import (
     predict_many,
     save_checkpoint,
 )
-from coordfuse.numerics import atomic_write, create_rng, typed
-from coordfuse.optimizer import NumericalError, TrainConfig, train
+from coordfuse.numerics import atomic_write, create_rng, type_fields
+from coordfuse.optimizer import NumericalError, TrainConfig, TrainHistory, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -71,48 +71,31 @@ class UsageError(Exception):
     """Bad arguments or a malformed/incomplete config file."""
 
 
-# Section fields that `run` sets per model rather than reading from the config.
-_RUN_SET_FIELDS = ("num_bands", "num_classes", "baseline")
-
-
-def _parse(raw, cls, name: str | None) -> dict:
-    """The config keys of dataclass `cls` read from the JSON object `raw`: a
-    value given is typed, a missing key takes its default. `name` is the
-    section's key, None at the top level, where a section passes through to
-    `ExperimentConfig` as given. Every fault raises UsageError."""
+def _parse(raw, cls, name: str | None, **run_set):
+    """`cls(**raw, **run_set)` for the JSON object `raw` of config section
+    `name` (None at the top level). An unknown key, a key in `run_set` and any
+    value `cls` rejects raise UsageError; a TypeError gets the section prefix."""
     if not isinstance(raw, dict):
         raise UsageError(f"config section {name!r} must be an object")
-    keys = {f.name: f for f in fields(cls) if f.name not in _RUN_SET_FIELDS}
-    unknown = set(raw) - set(keys)
+    unknown = set(raw) - ({f.name for f in fields(cls)} - set(run_set))
     if unknown:
         where = f"keys in config section {name!r}" if name else "config keys"
         raise UsageError(f"unknown {where}: {sorted(unknown)}")
-    hints = get_type_hints(cls)
-    values = {}
-    for key, f in keys.items():
-        if key in raw and hints[key] is dict:
-            values[key] = raw[key]
-        elif key in raw:
-            try:
-                values[key] = typed(f"{name}.{key}" if name else key, raw[key], hints[key])
-            except TypeError as exc:
-                raise UsageError(str(exc)) from exc
-        elif f.default_factory is not MISSING:
-            values[key] = f.default_factory()
-        elif f.default is not MISSING:
-            values[key] = f.default
-        else:
-            raise UsageError(f"config must set {key!r}")
-    return values
+    try:
+        return cls(**raw, **run_set)
+    except TypeError as exc:
+        raise UsageError(f"{name}.{exc}" if name else str(exc)) from exc
+    except ValueError as exc:
+        raise UsageError(f"bad config value: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: inputs, split, output directory and the model, train
-    and crf sections. Construction completes each section, a dict, with the
-    defaults of its config class, types its values and rejects unknown keys.
-    Every check that needs no data runs then too and raises UsageError, so a
-    copy made by `dataclasses.replace` is checked as well."""
+    """One experiment: inputs, split, output directory and three sections. A
+    dict given for `train` or `crf` becomes a `TrainConfig` or `CrfParams`;
+    `model` stays a dict of the `ModelConfig` keys `run` does not set. Every
+    field is typed and every check that needs no data runs when it is made
+    (a `dataclasses.replace` copy too), and each fault raises UsageError."""
 
     cube: str
     labels: str
@@ -121,30 +104,42 @@ class ExperimentConfig:
     min_per_class: int = SplitSpec.min_per_class
     out_dir: str = "out"
     model: dict = field(default_factory=dict)
-    train: dict = field(default_factory=dict)
-    crf: dict = field(default_factory=dict)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    crf: CrfParams = field(default_factory=CrfParams)
     appearance_bands: list[int] = field(default_factory=lambda: [0, 1, 2])
 
     def __post_init__(self):
-        for key, cls in (("model", ModelConfig), ("train", TrainConfig), ("crf", CrfParams)):
-            object.__setattr__(self, key, _parse(getattr(self, key), cls, key))
+        for key, cls in (("train", TrainConfig), ("crf", CrfParams)):
+            if not isinstance(getattr(self, key), cls):
+                object.__setattr__(self, key, _parse(getattr(self, key), cls, key))
+        try:
+            type_fields(self)
+            self.split  # SplitSpec checks the fraction and min_per_class
+        except TypeError as exc:
+            raise UsageError(str(exc)) from exc
+        except ValueError as exc:
+            raise UsageError(f"bad config value: {exc}") from exc
         for key in ("cube", "labels", "out_dir"):
             if not getattr(self, key):
                 raise UsageError(f"{key} must not be an empty path")
         # The baseline trains with seed + 2, which must still be a 64-bit seed.
         if not 0 <= self.seed < 2**64 - 2:
             raise UsageError(f"seed must lie in [0, 2**64 - 2), got {self.seed}")
-        if not self.appearance_bands or min(self.appearance_bands) < 0:
+        if min(self.appearance_bands) < 0:
             raise UsageError("appearance_bands must list non-negative band indices")
-        # The stand-in band count is generous, so only a network no cube fits fails.
-        stand_in = self.model["kernel_len"] + self.model["pool_width"] + 8
-        try:
-            SplitSpec(self.fraction, self.seed, self.min_per_class)
-            TrainConfig(**self.train)
-            CrfParams(**self.crf)
-            self.model_config(num_bands=stand_in, num_classes=2, baseline=False)
-        except ValueError as exc:
-            raise UsageError(f"bad config value: {exc}") from exc
+        # `run` sets these per cube; a generous band count fails only a network
+        # no cube fits. ModelConfig types each size before it checks the bands.
+        k = self.model.get("kernel_len", ModelConfig.kernel_len)
+        p = self.model.get("pool_width", ModelConfig.pool_width)
+        bands = k + p + 8 if type(k) is type(p) is int else 1
+        run_set = {"num_bands": bands, "num_classes": 2, "baseline": False}
+        stand_in = _parse(self.model, ModelConfig, "model", **run_set)
+        model = {key: v for key, v in asdict(stand_in).items() if key not in run_set}
+        object.__setattr__(self, "model", model)
+
+    @property
+    def split(self) -> SplitSpec:
+        return SplitSpec(self.fraction, self.seed, self.min_per_class)
 
     def model_config(self, num_bands: int, num_classes: int, baseline: bool) -> ModelConfig:
         return ModelConfig(
@@ -175,15 +170,15 @@ def load_config(path) -> ExperimentConfig:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError(f"config {path} must be a JSON object")
-    return ExperimentConfig(**_parse(raw, ExperimentConfig, None))
+    return _parse(raw, ExperimentConfig, None)
 
 
 def _write_all(outputs: list) -> None:
-    """Call `write(value, path)` for each (write, value, path) of `outputs`;
+    """Call `write(value, path=path)` for each (write, value, path) of `outputs`;
     if one raises, first remove the files the earlier ones wrote."""
     for i, (write, value, path) in enumerate(outputs):
         try:
-            write(value, path)
+            write(value, path=path)
         except BaseException:
             for *_, written in outputs[:i]:
                 os.unlink(written)
@@ -228,7 +223,7 @@ def cmd_synth(args) -> int:
             cfg = replace(cfg, appearance_bands=bands, model=model)
             # Run's own checks, so no file is written for a config run rejects.
             cfg.model_config(cube.bands, labels.num_classes, False)
-            stratified_split(labels, SplitSpec(cfg.fraction, cfg.seed, cfg.min_per_class))
+            stratified_split(labels, cfg.split)
     except ValueError as exc:  # every one is a bad argument
         raise UsageError(str(exc)) from exc
     outputs = [(save_cube, cube, args.cube), (save_labels, labels, args.labels)]
@@ -268,8 +263,7 @@ def cmd_run(args) -> int:
     raster_features = cube.values.reshape(h * w, cube.bands)
     raster_coords = coord_features(h, w).reshape(h * w, 2)
     truth = labels.labels.reshape(h * w)
-    spec = SplitSpec(fraction=cfg.fraction, seed=cfg.seed, min_per_class=cfg.min_per_class)
-    train_px, test_px = stratified_split(labels, spec)
+    train_px, test_px = stratified_split(labels, cfg.split)
     train_counts = np.bincount(truth[train_px], minlength=k + 1)[1:]
 
     palette = default_palette(k)
@@ -278,33 +272,29 @@ def cmd_run(args) -> int:
         jobs.append(("dual", "", False, cfg.seed + 1))
     jobs.append(("baseline", "baseline_", True, cfg.seed + 2))
 
+    # Both models train before anything is written, so a failed run leaves no output.
+    outputs, lines = [], []
     for name, prefix, is_baseline, seed in jobs:
         rng = create_rng(seed)
         model = build(cfg.model_config(cube.bands, k, is_baseline), rng)
-        os.makedirs(cfg.out_dir, exist_ok=True)  # once build has checked the network
         history = train(
-            model,
-            raster_features[train_px],
-            raster_coords[train_px],
-            truth[train_px],
-            TrainConfig(**cfg.train),
-            rng,
+            model, raster_features[train_px], raster_coords[train_px], truth[train_px],
+            cfg.train, rng
         )
         preds = predict_many(model, raster_features[test_px], raster_coords[test_px])
         report = metrics(confusion(preds, truth[test_px], num_classes=k))
-        write_report(
-            report,
-            os.path.join(cfg.out_dir, prefix + "report.json"),
-            train_counts=train_counts,
-        )
-        render_map(
-            predict_many(model, raster_features, raster_coords).reshape(h, w),
-            palette,
-            os.path.join(cfg.out_dir, prefix + "map.ppm"),
-        )
-        save_checkpoint(model, os.path.join(cfg.out_dir, prefix + "model.ckpt"))
-        history.to_csv(os.path.join(cfg.out_dir, prefix + "train_log.csv"))
-        print(f"{name}: oa={report.oa:.4f} aa={report.aa:.4f} kappa={report.kappa:.4f}")
+        raster_preds = predict_many(model, raster_features, raster_coords).reshape(h, w)
+        stem = os.path.join(cfg.out_dir, prefix)
+        outputs += [
+            (partial(write_report, train_counts=train_counts), report, stem + "report.json"),
+            (partial(render_map, palette=palette), raster_preds, stem + "map.ppm"),
+            (save_checkpoint, model, stem + "model.ckpt"),
+            (TrainHistory.to_csv, history, stem + "train_log.csv"),
+        ]
+        lines.append(f"{name}: oa={report.oa:.4f} aa={report.aa:.4f} kappa={report.kappa:.4f}")
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    _write_all(outputs)
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -367,7 +357,7 @@ def cmd_energy(args) -> int:
         probs = forward_many(model, crop_features, crop_coords)
         labeling = (np.argmax(probs, axis=1) + 1).reshape(ch, cw)
         probmap = probs.reshape(ch, cw, -1)
-        energies[name] = dense_energy(labeling, probmap, appearance, CrfParams(**cfg.crf))
+        energies[name] = dense_energy(labeling, probmap, appearance, cfg.crf)
 
     print(f"baseline_energy={energies['baseline']:.6f}")
     print(f"dual_energy={energies['dual']:.6f}")

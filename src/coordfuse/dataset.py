@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from coordfuse.numerics import atomic_write, create_rng, require_finite
+from coordfuse.numerics import atomic_write, create_rng, require_finite, type_fields
 
 CUBE_MAGIC = b"HCB1"
 LABEL_MAGIC = b"HLB1"
@@ -130,8 +130,8 @@ class SplitSpec:
     The training count for a class of n pixels is
     ``clamp(ceil(fraction * n), min_per_class, n - 1)``, with `fraction`
     taken as the exact decimal it prints as (0.05 is 1/20); the test set is
-    the remaining labeled pixels of the class. A fraction outside (0, 1) or
-    a negative `min_per_class` raises ValueError at construction.
+    the remaining labeled pixels of the class. A mistyped field raises
+    TypeError when made; a fraction outside (0, 1) or a negative `min_per_class` ValueError.
     """
 
     fraction: float
@@ -139,6 +139,7 @@ class SplitSpec:
     min_per_class: int = 2
 
     def __post_init__(self):
+        type_fields(self)
         if not 0.0 < self.fraction < 1.0:
             raise ValueError(f"fraction must lie in (0, 1), got {self.fraction}")
         if self.min_per_class < 0:

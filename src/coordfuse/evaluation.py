@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from coordfuse.layers import PROB_FLOOR, ShapeError
-from coordfuse.numerics import atomic_write
+from coordfuse.numerics import atomic_write, type_fields
 
 # Bytes of one (query block x compared pixels) float64 array in `dense_energy`.
 _BLOCK_BYTES = 256 * 1024
@@ -161,6 +161,7 @@ class CrfParams:
     theta_gamma: float = 3.0
 
     def __post_init__(self):
+        type_fields(self)
         for name in ("w1", "w2"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

@@ -13,8 +13,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, fields
-from typing import get_type_hints
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from coordfuse.layers import (
     dropout,
     softmax,
 )
-from coordfuse.numerics import atomic_write, glorot_init, typed
+from coordfuse.numerics import atomic_write, glorot_init, type_fields
 
 CHECKPOINT_MAGIC = b"DBM1"
 CHECKPOINT_VERSION = 1
@@ -72,10 +71,8 @@ class ModelConfig:
         return self.conv_filters * self.pooled_len
 
     def __post_init__(self):
-        hints = get_type_hints(ModelConfig)
-        for f in fields(self):
-            object.__setattr__(self, f.name, typed(f.name, getattr(self, f.name), hints[f.name]))
-        widths = [getattr(self, f.name) for f in fields(self) if hints[f.name] is int]
+        type_fields(self)
+        widths = [v for v in vars(self).values() if type(v) is int]
         if min(widths) < 1:
             raise ValueError(f"all widths must be positive: {self}")
         if self.num_classes < 2:

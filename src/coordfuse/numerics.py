@@ -8,8 +8,8 @@ count. A BLAS matrix product's bits can depend on the thread count, so
 another environment may change the last bits of its results. Training runs
 one such product per mini-batch, so trained parameters and checkpoints carry
 this dependence; values printed or written at 6 decimals rarely show it.
-`typed` checks a value against a field type, and every artifact is written
-through `atomic_write`.
+`typed` checks a value against a field type, `type_fields` every field of a
+config object, and every artifact is written through `atomic_write`.
 """
 
 from __future__ import annotations
@@ -17,11 +17,13 @@ from __future__ import annotations
 import contextlib
 import os
 from collections.abc import Iterator
-from typing import IO, get_args, get_origin
+from dataclasses import fields
+from typing import IO, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-__all__ = ["atomic_write", "create_rng", "glorot_init", "require_finite", "typed"]
+__all__ = ["atomic_write", "create_rng", "glorot_init", "require_finite", "type_fields",
+           "typed"]
 
 _SEED_LIMIT = 2**64
 
@@ -73,8 +75,15 @@ def typed(key: str, val, kind):
         except OverflowError:
             raise TypeError(f"{key} is an integer beyond the float64 range") from None
     if not isinstance(val, kind):
-        raise TypeError(f"{key} must be {_KINDS[kind]}, got {val!r}")
+        raise TypeError(f"{key} must be {_KINDS.get(kind, 'a ' + kind.__name__)}, got {val!r}")
     return val
+
+
+def type_fields(obj) -> None:
+    """Replace each field of frozen dataclass `obj` by `typed` of it against its annotation."""
+    hints = get_type_hints(type(obj))
+    for f in fields(obj):
+        object.__setattr__(obj, f.name, typed(f.name, getattr(obj, f.name), hints[f.name]))
 
 
 @contextlib.contextmanager

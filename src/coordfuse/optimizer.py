@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from coordfuse.model import DualBranchModel, backward, forward, param_views
-from coordfuse.numerics import atomic_write
+from coordfuse.numerics import atomic_write, type_fields
 
 logger = logging.getLogger(__name__)
 
@@ -37,6 +37,7 @@ class TrainConfig:
     max_epochs: int = 500
 
     def __post_init__(self):
+        type_fields(self)
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(
                 f"learning rate must be positive and finite, got {self.learning_rate}"

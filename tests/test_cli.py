@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,7 @@ from coordfuse.evaluation import (
 )
 from coordfuse.model import ModelConfig, build, load_checkpoint, predict_many
 from coordfuse.numerics import create_rng
-from coordfuse.optimizer import TrainConfig, train
+from coordfuse.optimizer import NumericalError, TrainConfig, train
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -101,9 +102,9 @@ def test_load_config_defaults(tmp_path):
     assert cfg.seed == 0
     assert cfg.model["conv_filters"] == 20
     assert cfg.model["keep_prob"] == 0.75
-    assert cfg.train["max_epochs"] == 500
-    assert cfg.train["batch_size"] == 64
-    assert cfg.crf["theta_alpha"] == 8.0
+    assert cfg.train.max_epochs == 500
+    assert cfg.train.batch_size == 64
+    assert cfg.crf.theta_alpha == 8.0
     assert cfg.appearance_bands == [0, 1, 2]
 
 
@@ -218,13 +219,68 @@ def test_a_bad_config_object_cannot_be_made():
         ExperimentConfig(cube="a", labels="b", train={"learning_rate": "x"})
 
 
+# One value of each JSON kind; a field is given every one its type does not accept.
+WRONG_KINDS = {"str": "x", "bool": True, "float": 1.5, "list": [1], "dict": {}, "None": None}
+CONFIG_CLASSES = {
+    ModelConfig: {"num_bands": 16, "num_classes": 3},
+    TrainConfig: {},
+    CrfParams: {},
+    SplitSpec: {"fraction": 0.05},
+    ExperimentConfig: {"cube": "a", "labels": "b"},
+}
+
+
+def _mistyped(cls):
+    """(field, wrong value, label) for each field of config class `cls`."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        kind = typing.get_origin(hints[f.name]) or hints[f.name]
+        kind = dict if dataclasses.is_dataclass(kind) else kind  # a section given as an object
+        for label, value in WRONG_KINDS.items():
+            if type(value) is not kind:
+                yield f.name, value, f"{cls.__name__}.{f.name}-{label}"
+
+
+@pytest.mark.parametrize(
+    "cls, name, value",
+    [pytest.param(cls, name, value, id=label)
+     for cls in CONFIG_CLASSES for name, value, label in _mistyped(cls)],
+)
+def test_a_mistyped_config_field_is_named(cls, name, value):
+    error = UsageError if cls is ExperimentConfig else TypeError
+    with pytest.raises(error, match=name):
+        cls(**{**CONFIG_CLASSES[cls], name: value})
+
+
+@pytest.mark.parametrize(
+    "section, name, value",
+    [pytest.param(section, name, value, id=f"{section or 'top'}:{label}")
+     for section, cls in [(None, ExperimentConfig), ("model", ModelConfig),
+                          ("train", TrainConfig), ("crf", CrfParams)]
+     for name, value, label in _mistyped(cls)],
+)
+def test_load_config_names_a_mistyped_field(tmp_path, section, name, value):
+    raw = {"cube": "a", "labels": "b"}
+    if section:
+        raw[section] = {name: value}
+    else:
+        raw[name] = value
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(UsageError, match=name):
+        load_config(path)
+
+
 def test_experiment_config_completes_its_sections():
     defaults = ExperimentConfig(cube="a", labels="b")
     cfg = ExperimentConfig(cube="a", labels="b", model={"dense_width": 5}, crf={"w1": 2})
     assert cfg.model == {**defaults.model, "dense_width": 5}
-    assert cfg.crf == {**defaults.crf, "w1": 2.0} and isinstance(cfg.crf["w1"], float)
-    assert cfg.train == defaults.train == dataclasses.asdict(TrainConfig())
+    assert cfg.crf == CrfParams(w1=2.0) and isinstance(cfg.crf.w1, float)
+    assert cfg.train == defaults.train == TrainConfig()
     assert dataclasses.replace(cfg, model={"kernel_len": 3}).model["dense_width"] == 100
+    assert dataclasses.replace(cfg, train={"max_epochs": 3}).train == TrainConfig(max_epochs=3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.train.max_epochs = 3
 
 
 def test_load_config_missing_file(tmp_path):
@@ -492,6 +548,24 @@ def test_run_override_is_checked_before_any_output(
     err = capsys.readouterr().err
     assert message in err and len(err.splitlines()) == 1
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_a_run_that_fails_writes_nothing(tiny_experiment, tmp_path, monkeypatch, capsys):
+    # The baseline trains second; its failure must not leave the dual model's files.
+    trained = []
+
+    def train_once(*args, **kwargs):
+        if trained:
+            raise NumericalError("non-finite loss")
+        trained.append(train(*args, **kwargs))
+        return trained[0]
+
+    monkeypatch.setattr(cli_module, "train", train_once)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(tiny_experiment["config"]), "--out-dir", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_baseline_only_skips_dual(tiny_experiment, tmp_path):
