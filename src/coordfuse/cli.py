@@ -173,16 +173,34 @@ def load_config(path) -> ExperimentConfig:
     return _parse(raw, ExperimentConfig, None)
 
 
-def _write_all(outputs: list) -> None:
-    """Call `write(value, path=path)` for each (write, value, path) of `outputs`;
-    if one raises, first remove the files the earlier ones wrote."""
-    for i, (write, value, path) in enumerate(outputs):
-        try:
+def _new_dirs(path) -> list[str]:
+    """The directories of `path` that do not exist yet, deepest first. A
+    `path`, or a parent of it, that exists but is no directory raises UsageError."""
+    new, d = [], os.path.abspath(path)
+    while not os.path.isdir(d):
+        if os.path.lexists(d):
+            raise UsageError(f"out_dir {path}: {d} is not a directory")
+        new.append(d)
+        d = os.path.dirname(d)
+    return new
+
+
+def _write_all(outputs: list, new_dirs=()) -> None:
+    """Make `new_dirs`, as _new_dirs lists them, then call `write(value,
+    path=path)` for each (write, value, path) of `outputs`; if a step raises,
+    first remove the directories and files the earlier ones made."""
+    made = []
+    try:
+        for d in reversed(new_dirs):
+            os.mkdir(d)
+            made.append((os.rmdir, d))
+        for write, value, path in outputs:
             write(value, path=path)
-        except BaseException:
-            for *_, written in outputs[:i]:
-                os.unlink(written)
-            raise
+            made.append((os.unlink, path))
+    except BaseException:
+        for remove, path in reversed(made):
+            remove(path)
+        raise
 
 
 def _save_config(cfg: ExperimentConfig, path) -> None:
@@ -245,6 +263,7 @@ def cmd_run(args) -> int:
         cfg = replace(cfg, seed=args.seed)
     if args.out_dir is not None:
         cfg = replace(cfg, out_dir=args.out_dir)
+    _new_dirs(cfg.out_dir)  # a file in its place fails before any work
 
     cube = load_cube(cfg.cube)
     labels = load_labels(cfg.labels)
@@ -292,8 +311,7 @@ def cmd_run(args) -> int:
             (TrainHistory.to_csv, history, stem + "train_log.csv"),
         ]
         lines.append(f"{name}: oa={report.oa:.4f} aa={report.aa:.4f} kappa={report.kappa:.4f}")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_all(outputs)
+    _write_all(outputs, _new_dirs(cfg.out_dir))
     print("\n".join(lines))
     return EXIT_OK
 

@@ -11,6 +11,10 @@ checked against central finite differences in the test suite. Max pooling keeps
 no argmax: its backward finds the earliest column holding each maximum from the
 maps and the maxima. A dense layer is linear unless its `relu` flag is set: the
 model's hidden layers set it, its fusion head does not.
+
+The kernels take their float64 stacks as given: inputs are converted where they
+enter, in `model.forward` (spectra and coordinates) and `model.backward`
+(labels). Only cross_entropy converts, its class indices, which may be a list.
 """
 
 from __future__ import annotations
@@ -73,7 +77,6 @@ def conv1d_forward(layer: Conv1d, x: np.ndarray, width: int = 1, stride: int = 1
     and ReLU on its maxima only: both are monotone, so the result is bitwise
     maxpool1d_forward(conv1d_forward(layer, x), width, stride).
     """
-    x = np.asarray(x, dtype=np.float64)
     kernel_len = layer.weights.shape[1]
     if x.ndim != 2:
         raise ShapeError(f"conv1d expects (n, length), got shape {x.shape}")
@@ -101,7 +104,6 @@ def conv1d_backward(
     routes the gradient back to them. Nothing before the conv learns, so no
     gradient with respect to `x` is computed.
     """
-    x = np.asarray(x, dtype=np.float64)
     maps = conv1d_forward(layer, x)  # (n, F, L)
     g = maxpool1d_backward(maps, pooled, grad_out, width, stride)
     g = np.where(maps > 0.0, g, 0.0)
@@ -115,7 +117,6 @@ def maxpool1d_forward(x: np.ndarray, width: int, stride: int) -> np.ndarray:
     Only the maxima are kept: maxpool1d_backward recomputes which column each
     one came from. A trailing remainder shorter than `width` is dropped.
     """
-    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise ShapeError(f"maxpool expects (n, n_maps, length), got shape {x.shape}")
     if width < 1 or stride < 1:
@@ -139,7 +140,6 @@ def maxpool1d_backward(
     maxpool1d_forward. Ties take the earliest column of the window, and a
     window whose maximum no column equals (a NaN) takes its last column.
     """
-    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise ShapeError(f"maxpool backward expects (n, n_maps, length) maps, got {x.shape}")
     n_windows = (x.shape[-1] - width) // stride + 1
@@ -166,7 +166,6 @@ def maxpool1d_backward(
 def dense_forward(layer: Dense, v: np.ndarray) -> np.ndarray:
     """v @ weights + bias for an (n, in_dim) stack of inputs, through a ReLU
     when the layer has one."""
-    v = np.asarray(v, dtype=np.float64)
     in_dim = layer.weights.shape[0]
     if v.ndim != 2 or v.shape[1] != in_dim:
         raise ShapeError(f"expected input of shape (n, {in_dim}), got {v.shape}")
@@ -180,16 +179,13 @@ def dense_backward(
     """(d_weights, d_bias, d_inputs) of a scalar loss through a dense layer,
     for an (n, in_dim) stack of inputs `v`, its outputs `out` and the loss
     gradient `grad_out` at them."""
-    v = np.asarray(v, dtype=np.float64)
     n = v.shape[:1]
     if v.shape != n + layer.weights.shape[:1] or not (
         out.shape == grad_out.shape == n + layer.bias.shape
     ):
         raise ShapeError(f"inputs {v.shape}, out {out.shape} and grad {grad_out.shape} "
                          f"do not fit a {layer.weights.shape} layer")
-    dz = np.asarray(grad_out, dtype=np.float64)
-    if layer.relu:
-        dz = np.where(out > 0.0, dz, 0.0)
+    dz = np.where(out > 0.0, grad_out, 0.0) if layer.relu else grad_out
     # np.dot: at one row it is bitwise np.outer, and faster than `@`.
     return np.dot(v.T, dz), dz.sum(axis=0), np.dot(dz, layer.weights.T)
 
@@ -206,7 +202,6 @@ def dropout(
     """
     if not 0.0 < keep_prob <= 1.0:
         raise ValueError(f"keep_prob must be in (0, 1], got {keep_prob}")
-    v = np.asarray(v, dtype=np.float64)
     if rng is None or keep_prob == 1.0:
         return v, None
     mask = (rng.random(v.shape) < keep_prob).astype(np.float64)
@@ -219,7 +214,6 @@ def cross_entropy(probs: np.ndarray, class_index: np.ndarray) -> tuple[float, np
     logits, probs - onehot(class_index). Probabilities below 1e-12 are clamped
     rather than giving an infinite loss, with one warning per call that counts
     them."""
-    probs = np.asarray(probs, dtype=np.float64)
     class_index = np.asarray(class_index)
     if probs.ndim != 2 or class_index.shape != probs.shape[:1]:
         raise ShapeError(f"(n, K) probs need n indices, got {probs.shape}, {class_index.shape}")

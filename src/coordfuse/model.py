@@ -315,10 +315,8 @@ def _chunk_rows(cfg: ModelConfig, input_bytes: int) -> int:
 
 def _forward_chunks(model: DualBranchModel, features, coords):
     """(row slice, class distributions) for each chunk of rows of stacked
-    (n, B) and (n, 2) inputs: one batched forward without dropout per chunk
-    (see _chunk_rows)."""
-    features = np.asarray(features, dtype=np.float64)
-    coords = np.asarray(coords, dtype=np.float64)
+    (n, B) and (n, 2) arrays: one batched forward without dropout per chunk
+    (see _chunk_rows), which converts only that chunk to float64."""
     if len(features) != len(coords):
         raise ShapeError("features and coords row counts disagree")
     rows = _chunk_rows(model.config, features.nbytes)
@@ -332,7 +330,7 @@ def forward_many(
     model: DualBranchModel, features: np.ndarray, coords: np.ndarray
 ) -> np.ndarray:
     """(n, K) class distributions, without dropout, for stacked (n, B) and
-    (n, 2) inputs."""
+    (n, 2) arrays."""
     out = np.empty((len(features), model.config.num_classes))
     for chunk, probs in _forward_chunks(model, features, coords):
         out[chunk] = probs
@@ -342,7 +340,7 @@ def forward_many(
 def predict_many(
     model: DualBranchModel, features: np.ndarray, coords: np.ndarray
 ) -> np.ndarray:
-    """Vector of 1-based predictions for stacked (n, B) and (n, 2) inputs;
+    """Vector of 1-based predictions for stacked (n, B) and (n, 2) arrays;
     ties break toward the lowest id. Each chunk's distributions are reduced
     to its labels, so no (n, K) array is made."""
     out = np.empty(len(features), dtype=np.int64)

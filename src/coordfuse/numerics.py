@@ -1,15 +1,17 @@
 """Array, randomness and input-checking primitives shared by every other module.
 
-Tensors throughout the package are plain numpy float64 ndarrays, row-major
-and contiguous. Randomness comes from numpy's PCG64 generator seeded with a
-single unsigned 64-bit integer, so an experiment replays bit-for-bit from
-its seed under the same numpy, the same BLAS build and the same BLAS thread
-count. A BLAS matrix product's bits can depend on the thread count, so
-another environment may change the last bits of its results. Training runs
-one such product per mini-batch, so trained parameters and checkpoints carry
-this dependence; values printed or written at 6 decimals rarely show it.
-`typed` checks a value against a field type, `type_fields` every field of a
-config object, and every artifact is written through `atomic_write`.
+Tensors inside the package are plain numpy float64 ndarrays. Each entry point
+converts its input once (`DataCube`, `model.forward`, `train`, the evaluation
+functions), and the layer kernels take the result as given. Randomness comes
+from numpy's PCG64 generator seeded with a single unsigned 64-bit integer, so
+an experiment replays bit-for-bit from its seed under the same numpy, the same
+BLAS build and the same BLAS thread count. A BLAS matrix product's bits can
+depend on the thread count, so another environment may change the last bits of
+its results. Training runs one such product per mini-batch, so trained
+parameters and checkpoints carry this dependence; values printed or written at
+6 decimals rarely show it. `typed` checks a value against a field type,
+`type_fields` every field of a config object, and every artifact is written
+through `atomic_write`.
 """
 
 from __future__ import annotations

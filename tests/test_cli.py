@@ -537,17 +537,25 @@ def test_seed_override_changes_results(tiny_experiment, tmp_path):
 @pytest.mark.parametrize(
     "override, message",
     [(["--out-dir", ""], "out_dir must not be an empty path"),
-     (["--seed", "18446744073709551614"], "seed must lie in [0, 2**64 - 2)")],
+     (["--seed", "18446744073709551614"], "seed must lie in [0, 2**64 - 2)"),
+     (["--out-dir", "taken"], "taken is not a directory"),
+     (["--out-dir", "taken/deeper"], "taken is not a directory")],
 )
 def test_run_override_is_checked_before_any_output(
     tmp_path, monkeypatch, capsys, override, message
 ):
+    # The cube does not exist: a check that reads it first exits 2, not 1.
     config = write_config(tmp_path / "cfg.json", tmp_path / "c.hcube", tmp_path / "l.hlbl")
+    (tmp_path / "taken").write_bytes(b"old")
+    trained = []
+    monkeypatch.setattr(cli_module, "train", lambda *args, **kwargs: trained.append(args))
     monkeypatch.chdir(tmp_path)
     assert main(["run", "--config", str(config), *override]) == 1
     err = capsys.readouterr().err
     assert message in err and len(err.splitlines()) == 1
-    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
+    assert (tmp_path / "taken").read_bytes() == b"old"
+    assert trained == []
 
 
 def test_a_run_that_fails_writes_nothing(tiny_experiment, tmp_path, monkeypatch, capsys):
@@ -566,6 +574,28 @@ def test_a_run_that_fails_writes_nothing(tiny_experiment, tmp_path, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == "" and len(captured.err.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "existing, out_dir",
+    [([], "new/deeper"), (["new"], "new/deeper"), (["out"], "out")],
+    ids=["nested", "nested-in-existing", "existing"],
+)
+def test_a_failed_run_write_removes_only_the_directories_it_made(
+    tiny_experiment, tmp_path, monkeypatch, capsys, existing, out_dir
+):
+    def refuse(model, path):
+        raise OSError(f"cannot write {path}")
+
+    monkeypatch.setattr(cli_module, "save_checkpoint", refuse)
+    monkeypatch.chdir(tmp_path)
+    for name in existing:
+        (tmp_path / name).mkdir()
+    assert main(["run", "--config", str(tiny_experiment["config"]), "--out-dir", out_dir]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "model.ckpt" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == existing
+    assert all(list((tmp_path / name).iterdir()) == [] for name in existing)
 
 
 def test_baseline_only_skips_dual(tiny_experiment, tmp_path):
@@ -765,8 +795,9 @@ BATCHED_BACKWARD_ARGS = {
 def spy_on_batch_axes(monkeypatch, batched_args):
     """Wrap each function of `batched_args` in every coordfuse namespace that
     binds it, as a profiler would patch it. Returns the list that collects,
-    per call, (name, extra axes of each listed argument); an argument not
-    passed positionally reads None."""
+    per call, (name, extra axes of each listed argument, dtype name of each
+    listed float argument); an argument not passed positionally reads None,
+    and so does the dtype of a label argument (one scalar a sample)."""
     modules = [importlib.import_module("coordfuse")] + [
         importlib.import_module(f"coordfuse.{m}")
         for m in ("dataset", "layers", "model", "optimizer", "evaluation", "cli")
@@ -776,9 +807,12 @@ def spy_on_batch_axes(monkeypatch, batched_args):
         original = getattr(importlib.import_module(f"coordfuse.{home}"), name)
 
         def spy(*args, _fn=original, _name=name, _ndims=sample_ndims, **kwargs):
-            axes = [np.ndim(getattr(args[i], "probs", args[i])) - d if i < len(args) else None
-                    for i, d in _ndims.items()]
-            extra_axes.append((_name, axes))
+            given = [getattr(args[i], "probs", args[i]) if i < len(args) else None
+                     for i in _ndims]
+            axes = [None if a is None else np.ndim(a) - d for a, d in zip(given, _ndims.values())]
+            dtypes = [None if a is None or d == 0 else np.asarray(a).dtype.name
+                      for a, d in zip(given, _ndims.values())]
+            extra_axes.append((_name, axes, dtypes))
             return _fn(*args, **kwargs)
 
         for module in modules:
@@ -793,16 +827,19 @@ def test_every_forward_call_carries_the_batch_axis(tiny_experiment, tmp_path, mo
     assert main(["run", "--config", str(tiny_experiment["config"]), "--out-dir", str(out)]) == 0
     assert main(["energy", "--config", str(tiny_experiment["config"]), "--out-dir", str(out),
                  "--crop", "0,0,4,4"]) == 0
-    assert {name for name, _ in extra_axes} == set(BATCHED_ARGS)
-    assert [(name, axes) for name, axes in extra_axes if axes != [1] * len(axes)] == []
+    assert {name for name, *_ in extra_axes} == set(BATCHED_ARGS)
+    assert [(name, axes) for name, axes, _ in extra_axes if axes != [1] * len(axes)] == []
+    # The layers convert nothing: every float stack they are handed is float64.
+    assert [(name, t) for name, _, t in extra_axes if set(t) != {"float64"}] == []
 
 
 def test_every_backward_call_carries_the_batch_axis(tiny_experiment, tmp_path, monkeypatch):
     extra_axes = spy_on_batch_axes(monkeypatch, BATCHED_BACKWARD_ARGS)
     out = tmp_path / "out"
     assert main(["run", "--config", str(tiny_experiment["config"]), "--out-dir", str(out)]) == 0
-    assert {name for name, _ in extra_axes} == set(BATCHED_BACKWARD_ARGS)
-    assert [(name, axes) for name, axes in extra_axes if axes != [1] * len(axes)] == []
+    assert {name for name, *_ in extra_axes} == set(BATCHED_BACKWARD_ARGS)
+    assert [(name, axes) for name, axes, _ in extra_axes if axes != [1] * len(axes)] == []
+    assert [(name, t) for name, _, t in extra_axes if set(t) - {None} != {"float64"}] == []
 
 
 def test_energy_crop_errors(tiny_experiment, capsys):

@@ -569,20 +569,31 @@ def test_forward_many_at_chunk_boundaries(monkeypatch):
         assert np.array_equal(preds, np.argmax(probs, axis=1) + 1)
 
 
-@pytest.mark.parametrize("n,bands,classes", [(4096, 30, 6), (8192, 220, 16)])
-def test_forward_many_memory_is_bounded(n, bands, classes):
+@pytest.mark.parametrize(
+    "n,bands,classes,dtype",
+    [
+        pytest.param(4096, 30, 6, np.float64, id="4096-30-6"),
+        pytest.param(8192, 220, 16, np.float64, id="8192-220-16"),
+        pytest.param(8192, 220, 16, np.float32, id="8192-220-16-float32"),
+    ],
+)
+def test_forward_many_memory_is_bounded(n, bands, classes, dtype):
     model = build(ModelConfig(num_bands=bands, num_classes=classes), create_rng(0))
     rng = create_rng(9)
-    feats = rng.random((n, bands))
-    coords = rng.random((n, 2))
-    tracemalloc.start()
-    try:
-        probs = forward_many(model, feats, coords)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    feats = rng.random((n, bands)).astype(dtype)
+    coords = rng.random((n, 2)).astype(dtype)
     budget = max(1 << 20, feats.nbytes // 8)
-    assert peak - probs.nbytes <= 1.5 * budget
+    for many in (forward_many, predict_many):
+        tracemalloc.start()
+        try:
+            out = many(model, feats, coords)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 1.5 * budget, many.__name__
+    # Another dtype is converted one chunk at a time, to its float64 copy's labels.
+    wide = predict_many(model, feats.astype(np.float64), coords.astype(np.float64))
+    assert np.array_equal(out, wide)
 
 
 def test_predict_many_keeps_labels_only():
