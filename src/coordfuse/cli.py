@@ -7,10 +7,9 @@ Subcommands:
   energy   fully connected pairwise energy of baseline vs dual-branch maps
 
 `run` trains the dual-branch model and the spectral-only baseline from one
-config and seed; `--baseline-only` restricts it to the baseline. All the
-randomness derives from the single top-level seed: the split uses `seed`,
-the dual-branch model `seed + 1`, the baseline `seed + 2`, so reruns with
-the same inputs write byte-identical outputs.
+config and seed through `experiment`, which states how every random draw
+derives from that seed; `--baseline-only` restricts it to the baseline.
+Reruns with the same inputs write byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -22,10 +21,13 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from coordfuse.dataset import (
+    DataCube,
+    LabelMap,
     SplitSpec,
     coord_features,
     from_csv,
@@ -39,6 +41,7 @@ from coordfuse.dataset import (
 )
 from coordfuse.evaluation import (
     CrfParams,
+    EvalReport,
     confusion,
     default_palette,
     dense_energy,
@@ -47,6 +50,7 @@ from coordfuse.evaluation import (
     write_report,
 )
 from coordfuse.model import (
+    DualBranchModel,
     ModelConfig,
     build,
     forward_many,
@@ -140,11 +144,6 @@ class ExperimentConfig:
     @property
     def split(self) -> SplitSpec:
         return SplitSpec(self.fraction, self.seed, self.min_per_class)
-
-    def model_config(self, num_bands: int, num_classes: int, baseline: bool) -> ModelConfig:
-        return ModelConfig(
-            num_bands=num_bands, num_classes=num_classes, baseline=baseline, **self.model
-        )
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -240,7 +239,7 @@ def cmd_synth(args) -> int:
             bands = [b for b in cfg.appearance_bands if b < cube.bands]
             cfg = replace(cfg, appearance_bands=bands, model=model)
             # Run's own checks, so no file is written for a config run rejects.
-            cfg.model_config(cube.bands, labels.num_classes, False)
+            ModelConfig(num_bands=cube.bands, num_classes=labels.num_classes, **cfg.model)
             stratified_split(labels, cfg.split)
     except ValueError as exc:  # every one is a bad argument
         raise UsageError(str(exc)) from exc
@@ -257,16 +256,28 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.out_dir is not None:
-        cfg = replace(cfg, out_dir=args.out_dir)
-    _new_dirs(cfg.out_dir)  # a file in its place fails before any work
+class ModelRun(NamedTuple):
+    """One model of an `experiment` and what it predicted: `preds` for the
+    test pixels, in the split's order, and `raster` for every pixel, (H, W)."""
 
-    cube = load_cube(cfg.cube)
-    labels = load_labels(cfg.labels)
+    model: DualBranchModel
+    history: TrainHistory
+    report: EvalReport
+    preds: np.ndarray
+    raster: np.ndarray
+
+
+def experiment(cube: DataCube, labels: LabelMap, split: SplitSpec, model: dict,
+               train_cfg: TrainConfig, baseline_only: bool = False) -> tuple[np.ndarray, dict]:
+    """Split the labeled pixels of the normalized `cube`, then train and score
+    the dual-branch model and the spectral baseline (or the baseline alone).
+    `model` holds the `ModelConfig` keys the data does not fix. Returns the
+    per-class training counts and a dict of `ModelRun`s, "dual" before
+    "baseline". The seed rule: `split.seed` is the experiment's seed, the
+    split draws with it, and each model builds and trains from one rng, seeded
+    with `split.seed + 1` for the dual-branch model and `split.seed + 2` for
+    the baseline. Rasters of different sizes, or fewer than 2 classes, raise
+    ValueError."""
     if (cube.height, cube.width) != (labels.height, labels.width):
         raise ValueError(
             f"cube is {cube.height}x{cube.width} but labels are "
@@ -275,38 +286,51 @@ def cmd_run(args) -> int:
     k = labels.num_classes
     if k < 2:
         raise ValueError(f"need at least 2 classes, found {k}")
-    cube = normalize_cube(cube)  # drops the raw cube: a run holds one
 
     # Every pixel is a row of the raster arrays; the split picks rows of them.
     h, w = cube.height, cube.width
     raster_features = cube.values.reshape(h * w, cube.bands)
     raster_coords = coord_features(h, w).reshape(h * w, 2)
     truth = labels.labels.reshape(h * w)
-    train_px, test_px = stratified_split(labels, cfg.split)
+    train_px, test_px = stratified_split(labels, split)
     train_counts = np.bincount(truth[train_px], minlength=k + 1)[1:]
 
-    palette = default_palette(k)
-    jobs = []
-    if not args.baseline_only:
-        jobs.append(("dual", "", False, cfg.seed + 1))
-    jobs.append(("baseline", "baseline_", True, cfg.seed + 2))
-
-    # Both models train before anything is written, so a failed run leaves no output.
-    outputs, lines = [], []
-    for name, prefix, is_baseline, seed in jobs:
-        rng = create_rng(seed)
-        model = build(cfg.model_config(cube.bands, k, is_baseline), rng)
+    runs = {}
+    for name, baseline, offset in (("dual", False, 1), ("baseline", True, 2))[baseline_only:]:
+        rng = create_rng(split.seed + offset)
+        net = build(ModelConfig(cube.bands, k, baseline=baseline, **model), rng)
         history = train(
-            model, raster_features[train_px], raster_coords[train_px], truth[train_px],
-            cfg.train, rng
+            net, raster_features[train_px], raster_coords[train_px], truth[train_px],
+            train_cfg, rng
         )
-        preds = predict_many(model, raster_features[test_px], raster_coords[test_px])
+        preds = predict_many(net, raster_features[test_px], raster_coords[test_px])
         report = metrics(confusion(preds, truth[test_px], num_classes=k))
-        raster_preds = predict_many(model, raster_features, raster_coords).reshape(h, w)
-        stem = os.path.join(cfg.out_dir, prefix)
+        raster = predict_many(net, raster_features, raster_coords).reshape(h, w)
+        runs[name] = ModelRun(net, history, report, preds, raster)
+    return train_counts, runs
+
+
+def cmd_run(args) -> int:
+    cfg = load_config(args.config)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
+    if args.out_dir is not None:
+        cfg = replace(cfg, out_dir=args.out_dir)
+    _new_dirs(cfg.out_dir)  # a file in its place fails before any work
+
+    cube = normalize_cube(load_cube(cfg.cube))  # drops the raw cube: a run holds one
+    labels = load_labels(cfg.labels)
+    train_counts, runs = experiment(cube, labels, cfg.split, cfg.model, cfg.train,
+                                    args.baseline_only)
+
+    # Both models trained before anything is written, so a failed run leaves no output.
+    palette = default_palette(labels.num_classes)
+    outputs, lines = [], []
+    for name, (model, history, report, _, raster) in runs.items():
+        stem = os.path.join(cfg.out_dir, "" if name == "dual" else "baseline_")
         outputs += [
             (partial(write_report, train_counts=train_counts), report, stem + "report.json"),
-            (partial(render_map, palette=palette), raster_preds, stem + "map.ppm"),
+            (partial(render_map, palette=palette), raster, stem + "map.ppm"),
             (save_checkpoint, model, stem + "model.ckpt"),
             (TrainHistory.to_csv, history, stem + "train_log.csv"),
         ]

@@ -315,8 +315,9 @@ def _chunk_rows(cfg: ModelConfig, input_bytes: int) -> int:
 
 def _forward_chunks(model: DualBranchModel, features, coords):
     """(row slice, class distributions) for each chunk of rows of stacked
-    (n, B) and (n, 2) arrays: one batched forward without dropout per chunk
-    (see _chunk_rows), which converts only that chunk to float64."""
+    (n, B) and (n, 2) arrays or nested lists: one batched forward without
+    dropout per chunk (see _chunk_rows), which converts only that chunk."""
+    features, coords = np.asarray(features), np.asarray(coords)
     if len(features) != len(coords):
         raise ShapeError("features and coords row counts disagree")
     rows = _chunk_rows(model.config, features.nbytes)

@@ -16,18 +16,17 @@ import numpy as np
 import pytest
 
 from checks import MARGIN, dual_margins, fd_wrt, norm_rel_err
-from coordfuse.cli import main
+from coordfuse.cli import experiment, main
 from coordfuse.dataset import (
     LabelMap,
     SplitSpec,
-    extract_samples,
     generate_synthetic,
     load_cube,
     load_labels,
     normalize_cube,
     stratified_split,
 )
-from coordfuse.evaluation import CrfParams, confusion, dense_energy, metrics
+from coordfuse.evaluation import CrfParams, dense_energy, metrics
 from coordfuse.layers import (
     Conv1d,
     Dense,
@@ -40,9 +39,9 @@ from coordfuse.layers import (
     maxpool1d_forward,
     softmax,
 )
-from coordfuse.model import ModelConfig, backward, build, forward, predict_many
+from coordfuse.model import ModelConfig, backward, build, forward
 from coordfuse.numerics import create_rng
-from coordfuse.optimizer import TrainConfig, train
+from coordfuse.optimizer import TrainConfig
 
 # 16-class populations of the 145x145 benchmark ground truth and the
 # training counts its published 5% split reports.
@@ -181,32 +180,16 @@ def test_criterion_2_metric_oracle_equivalence(capsys):
     )
 
 
-def _run_split_experiment(seed, max_epochs=100):
-    cube, labels = generate_synthetic(
-        create_rng(seed), 64, 64, 30, 6, noise=0.05, coordinate_separable=True
-    )
-    norm = normalize_cube(cube)
-    tr, te = stratified_split(labels, SplitSpec(0.05, seed=seed))
-    train_set = extract_samples(norm, labels, tr)
-    test_set = extract_samples(norm, labels, te)
-    k = labels.num_classes
-    oas = {}
-    for name, baseline, s in (("dual", False, seed + 1), ("baseline", True, seed + 2)):
-        rng = create_rng(s)
-        model = build(ModelConfig(num_bands=30, num_classes=k, baseline=baseline), rng)
-        train(model, train_set.features, train_set.coords, train_set.labels,
-              TrainConfig(max_epochs=max_epochs), rng)
-        preds = predict_many(model, test_set.features, test_set.coords)
-        oas[name] = metrics(confusion(preds, test_set.labels, num_classes=k)).oa
-    return oas
-
-
 def test_criterion_3_coordinate_separability(capsys):
     t0 = time.time()
     gaps = []
     for seed in (0, 1, 2):
-        oas = _run_split_experiment(seed)
-        gaps.append(oas["dual"] - oas["baseline"])
+        cube, labels = generate_synthetic(
+            create_rng(seed), 64, 64, 30, 6, noise=0.05, coordinate_separable=True
+        )
+        _, runs = experiment(normalize_cube(cube), labels, SplitSpec(0.05, seed=seed), {},
+                             TrainConfig(max_epochs=100))
+        gaps.append(runs["dual"].report.oa - runs["baseline"].report.oa)
     elapsed = time.time() - t0
     median_gap = float(np.median(gaps))
     ok = median_gap >= 0.10 and elapsed < 300
@@ -229,21 +212,9 @@ def test_criterion_4_benchmark_reproduction(capsys):
             )
         pytest.skip("benchmark data not supplied")
     t0 = time.time()
-    cube = load_cube(cube_path)
-    labels = load_labels(labels_path)
-    norm = normalize_cube(cube)
-    k = labels.num_classes
-    tr, te = stratified_split(labels, SplitSpec(0.05, seed=0))
-    train_set = extract_samples(norm, labels, tr)
-    test_set = extract_samples(norm, labels, te)
-    results = {}
-    for name, baseline, s in (("dual", False, 1), ("baseline", True, 2)):
-        rng = create_rng(s)
-        model = build(ModelConfig(num_bands=cube.bands, num_classes=k, baseline=baseline), rng)
-        train(model, train_set.features, train_set.coords, train_set.labels,
-              TrainConfig(), rng)
-        preds = predict_many(model, test_set.features, test_set.coords)
-        results[name] = metrics(confusion(preds, test_set.labels, num_classes=k))
+    _, runs = experiment(normalize_cube(load_cube(cube_path)), load_labels(labels_path),
+                         SplitSpec(0.05, seed=0), {}, TrainConfig())
+    results = {name: run.report for name, run in runs.items()}
     elapsed = time.time() - t0
     gap = results["dual"].oa - results["baseline"].oa
     ok = (

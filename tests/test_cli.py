@@ -19,6 +19,7 @@ from coordfuse.cli import (
     ExperimentConfig,
     UsageError,
     _parse_crop,
+    experiment,
     load_config,
     main,
 )
@@ -26,25 +27,20 @@ from coordfuse.dataset import (
     DataCube,
     LabelMap,
     SplitSpec,
-    coord_features,
-    extract_samples,
     load_cube,
     load_labels,
     normalize_cube,
     save_cube,
     save_labels,
-    stratified_split,
 )
 from coordfuse.evaluation import (
     CrfParams,
-    confusion,
     default_palette,
     dense_energy,
-    metrics,
     render_map,
     write_report,
 )
-from coordfuse.model import ModelConfig, build, load_checkpoint, predict_many
+from coordfuse.model import ModelConfig, load_checkpoint, save_checkpoint
 from coordfuse.numerics import create_rng
 from coordfuse.optimizer import NumericalError, TrainConfig, train
 
@@ -377,14 +373,25 @@ def test_run_corrupt_cube_exits_2(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
-def test_run_sparse_class_ids_exit_2(tmp_path, capsys):
-    cube, labels = tmp_path / "c.hcube", tmp_path / "l.hlbl"
-    values = create_rng(0).random((6, 6, 8))
-    save_cube(DataCube(values), cube)
-    save_labels(LabelMap(np.repeat([1, 1, 3, 3, 4, 4], 6).reshape(6, 6)), labels)
-    config = write_config(tmp_path / "cfg.json", cube, labels)
+@pytest.mark.parametrize(
+    "label_rows, message",
+    [([1, 1, 3, 3, 4, 4], "class ids must be contiguous 1..4; missing ids: 2"),
+     ([1, 1, 2, 2, 1], "cube is 6x6 but labels are 5x6"),
+     ([1] * 6, "need at least 2 classes, found 1")],
+    ids=["sparse-ids", "other-size", "one-class"],
+)
+def test_run_bad_labels_exit_2(tmp_path, capsys, label_rows, message):
+    cube = DataCube(create_rng(0).random((6, 6, 8)))
+    labels = LabelMap(np.repeat(label_rows, 6).reshape(len(label_rows), 6))
+    with pytest.raises(ValueError, match=message):
+        experiment(cube, labels, SplitSpec(0.2), {}, TrainConfig(max_epochs=1))
+    save_cube(cube, tmp_path / "c.hcube")
+    save_labels(labels, tmp_path / "l.hlbl")
+    config = write_config(tmp_path / "cfg.json", tmp_path / "c.hcube", tmp_path / "l.hlbl")
     assert main(["run", "--config", str(config)]) == 2
-    assert "class ids must be contiguous 1..4; missing ids: 2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_synth_outputs_are_deterministic(tmp_path):
@@ -468,13 +475,6 @@ def test_synth_two_band_config_runs(tmp_path):
     cfg["train"]["max_epochs"] = 1
     cfg_path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 0
-
-
-def test_run_writes_all_artifacts(tiny_experiment):
-    out = tiny_experiment["out"]
-    for prefix in ("", "baseline_"):
-        for name in ("report.json", "map.ppm", "model.ckpt", "train_log.csv"):
-            assert (out / (prefix + name)).exists(), prefix + name
 
 
 def test_run_report_schema(tiny_experiment):
@@ -612,33 +612,23 @@ def test_baseline_only_skips_dual(tiny_experiment, tmp_path):
     assert a == (out2 / "baseline_model.ckpt").read_bytes()
 
 
-def test_run_writes_what_the_library_pipeline_computes(tiny_experiment, tmp_path):
-    """Each model's report and map, rebuilt from library calls on sample
-    sets, match what `run` wrote byte for byte."""
-    raw = json.loads(tiny_experiment["config"].read_text())
-    cube = normalize_cube(load_cube(tiny_experiment["cube"]))
-    labels = load_labels(tiny_experiment["labels"])
-    h, w, k = cube.height, cube.width, labels.num_classes
-    train_idx, test_idx = stratified_split(labels, SplitSpec(raw["fraction"], raw["seed"]))
-    train_set = extract_samples(cube, labels, train_idx)
-    test_set = extract_samples(cube, labels, test_idx)
-    features = cube.values.reshape(h * w, cube.bands)
-    coords = coord_features(h, w).reshape(h * w, 2)
-    train_counts = np.bincount(train_set.labels, minlength=k + 1)[1:]
-    for prefix, baseline, seed in (("", False, raw["seed"] + 1),
-                                   ("baseline_", True, raw["seed"] + 2)):
-        rng = create_rng(seed)
-        model = build(ModelConfig(cube.bands, k, baseline=baseline, **raw["model"]), rng)
-        train(model, train_set.features, train_set.coords, train_set.labels,
-              TrainConfig(**raw["train"]), rng)
-        preds = predict_many(model, test_set.features, test_set.coords)
-        report = metrics(confusion(preds, test_set.labels, num_classes=k))
-        write_report(report, tmp_path / (prefix + "report.json"), train_counts=train_counts)
-        raster = predict_many(model, features, coords).reshape(h, w)
-        render_map(raster, default_palette(k), tmp_path / (prefix + "map.ppm"))
-        for name in (prefix + "report.json", prefix + "map.ppm"):
-            written = (tiny_experiment["out"] / name).read_bytes()
-            assert (tmp_path / name).read_bytes() == written, name
+def test_run_writes_what_experiment_returns(tiny_experiment, tmp_path):
+    """The 8 artifacts, written by the library writers from `experiment`'s
+    return value, match what `run` wrote byte for byte."""
+    cfg = load_config(tiny_experiment["config"])
+    labels = load_labels(cfg.labels)
+    cube = normalize_cube(load_cube(cfg.cube))
+    train_counts, runs = experiment(cube, labels, cfg.split, cfg.model, cfg.train)
+    for name, run in runs.items():
+        stem = os.path.join(tmp_path, "" if name == "dual" else "baseline_")
+        write_report(run.report, stem + "report.json", train_counts=train_counts)
+        render_map(run.raster, default_palette(labels.num_classes), stem + "map.ppm")
+        save_checkpoint(run.model, stem + "model.ckpt")
+        run.history.to_csv(stem + "train_log.csv")
+    names = sorted(p.name for p in tiny_experiment["out"].iterdir())
+    assert len(names) == 8 and sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (tiny_experiment["out"] / name).read_bytes(), name
 
 
 @pytest.mark.parametrize(
@@ -872,8 +862,6 @@ def test_energy_missing_checkpoint_exits_2(tiny_experiment, tmp_path):
 
 
 def test_energy_non_finite_checkpoint_exits_2(tiny_experiment, tmp_path, capsys):
-    from coordfuse.model import save_checkpoint
-
     model = load_checkpoint(tiny_experiment["out"] / "model.ckpt")
     model.head.bias[0] = np.nan
     bad = tmp_path / "nan.ckpt"

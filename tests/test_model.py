@@ -596,6 +596,16 @@ def test_forward_many_memory_is_bounded(n, bands, classes, dtype):
     assert np.array_equal(out, wide)
 
 
+def test_forward_many_takes_nested_lists():
+    # forward takes nested lists, so the batched entry points do too.
+    model = small_model()
+    rng = create_rng(12)
+    feats, coords = rng.random((5, 16)), rng.random((5, 2))
+    for many in (forward_many, predict_many):
+        got = many(model, feats.tolist(), coords.tolist())
+        assert np.array_equal(got, many(model, feats, coords)), many.__name__
+
+
 def test_predict_many_keeps_labels_only():
     n, classes = 8192, 16
     model = build(ModelConfig(num_bands=220, num_classes=classes), create_rng(0))
