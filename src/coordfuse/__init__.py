@@ -24,6 +24,7 @@ from coordfuse.dataset import (
 from coordfuse.model import (
     DualBranchModel,
     ModelConfig,
+    NetworkConfig,
     backward,
     build,
     forward,

@@ -51,7 +51,7 @@ from coordfuse.evaluation import (
 )
 from coordfuse.model import (
     DualBranchModel,
-    ModelConfig,
+    NetworkConfig,
     build,
     forward_many,
     load_checkpoint,
@@ -75,18 +75,18 @@ class UsageError(Exception):
     """Bad arguments or a malformed/incomplete config file."""
 
 
-def _parse(raw, cls, name: str | None, **run_set):
-    """`cls(**raw, **run_set)` for the JSON object `raw` of config section
-    `name` (None at the top level). An unknown key, a key in `run_set` and any
-    value `cls` rejects raise UsageError; a TypeError gets the section prefix."""
+def _parse(raw, cls, name: str | None):
+    """`cls(**raw)` for the JSON object `raw` of config section `name` (None at
+    the top level). An unknown key and any value `cls` rejects raise
+    UsageError; a TypeError gets the section prefix."""
     if not isinstance(raw, dict):
         raise UsageError(f"config section {name!r} must be an object")
-    unknown = set(raw) - ({f.name for f in fields(cls)} - set(run_set))
+    unknown = set(raw) - {f.name for f in fields(cls)}
     if unknown:
         where = f"keys in config section {name!r}" if name else "config keys"
         raise UsageError(f"unknown {where}: {sorted(unknown)}")
     try:
-        return cls(**raw, **run_set)
+        return cls(**raw)
     except TypeError as exc:
         raise UsageError(f"{name}.{exc}" if name else str(exc)) from exc
     except ValueError as exc:
@@ -96,10 +96,10 @@ def _parse(raw, cls, name: str | None, **run_set):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: inputs, split, output directory and three sections. A
-    dict given for `train` or `crf` becomes a `TrainConfig` or `CrfParams`;
-    `model` stays a dict of the `ModelConfig` keys `run` does not set. Every
-    field is typed and every check that needs no data runs when it is made
-    (a `dataclasses.replace` copy too), and each fault raises UsageError."""
+    dict given for `model`, `train` or `crf` becomes a `NetworkConfig`,
+    `TrainConfig` or `CrfParams`; a section must be exactly that class.
+    Every field is typed and every check that needs no data runs when it is
+    made (a `dataclasses.replace` copy too), and each fault raises UsageError."""
 
     cube: str
     labels: str
@@ -107,14 +107,14 @@ class ExperimentConfig:
     seed: int = 0
     min_per_class: int = SplitSpec.min_per_class
     out_dir: str = "out"
-    model: dict = field(default_factory=dict)
+    model: NetworkConfig = field(default_factory=NetworkConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     crf: CrfParams = field(default_factory=CrfParams)
-    appearance_bands: list[int] = field(default_factory=lambda: [0, 1, 2])
+    appearance_bands: tuple[int, ...] = (0, 1, 2)
 
     def __post_init__(self):
-        for key, cls in (("train", TrainConfig), ("crf", CrfParams)):
-            if not isinstance(getattr(self, key), cls):
+        for key, cls in (("model", NetworkConfig), ("train", TrainConfig), ("crf", CrfParams)):
+            if type(getattr(self, key)) is not cls:
                 object.__setattr__(self, key, _parse(getattr(self, key), cls, key))
         try:
             type_fields(self)
@@ -131,15 +131,6 @@ class ExperimentConfig:
             raise UsageError(f"seed must lie in [0, 2**64 - 2), got {self.seed}")
         if min(self.appearance_bands) < 0:
             raise UsageError("appearance_bands must list non-negative band indices")
-        # `run` sets these per cube; a generous band count fails only a network
-        # no cube fits. ModelConfig types each size before it checks the bands.
-        k = self.model.get("kernel_len", ModelConfig.kernel_len)
-        p = self.model.get("pool_width", ModelConfig.pool_width)
-        bands = k + p + 8 if type(k) is type(p) is int else 1
-        run_set = {"num_bands": bands, "num_classes": 2, "baseline": False}
-        stand_in = _parse(self.model, ModelConfig, "model", **run_set)
-        model = {key: v for key, v in asdict(stand_in).items() if key not in run_set}
-        object.__setattr__(self, "model", model)
 
     @property
     def split(self) -> SplitSpec:
@@ -234,12 +225,12 @@ def cmd_synth(args) -> int:
         )
         if args.emit_config:
             # Shrink the kernel when the cube is too narrow for the default.
-            kernel = min(cfg.model["kernel_len"], cube.bands - cfg.model["pool_width"] + 1)
-            model = {**cfg.model, "kernel_len": max(1, kernel)}
-            bands = [b for b in cfg.appearance_bands if b < cube.bands]
+            kernel = min(cfg.model.kernel_len, cube.bands - cfg.model.pool_width + 1)
+            model = replace(cfg.model, kernel_len=max(1, kernel))
+            bands = tuple(b for b in cfg.appearance_bands if b < cube.bands)
             cfg = replace(cfg, appearance_bands=bands, model=model)
             # Run's own checks, so no file is written for a config run rejects.
-            ModelConfig(num_bands=cube.bands, num_classes=labels.num_classes, **cfg.model)
+            cfg.model.fit(cube.bands, labels.num_classes)
             stratified_split(labels, cfg.split)
     except ValueError as exc:  # every one is a bad argument
         raise UsageError(str(exc)) from exc
@@ -267,11 +258,11 @@ class ModelRun(NamedTuple):
     raster: np.ndarray
 
 
-def experiment(cube: DataCube, labels: LabelMap, split: SplitSpec, model: dict,
+def experiment(cube: DataCube, labels: LabelMap, split: SplitSpec, model: NetworkConfig,
                train_cfg: TrainConfig, baseline_only: bool = False) -> tuple[np.ndarray, dict]:
     """Split the labeled pixels of the normalized `cube`, then train and score
     the dual-branch model and the spectral baseline (or the baseline alone).
-    `model` holds the `ModelConfig` keys the data does not fix. Returns the
+    `model` is the network, which `fit` sizes to the cube. Returns the
     per-class training counts and a dict of `ModelRun`s, "dual" before
     "baseline". The seed rule: `split.seed` is the experiment's seed, the
     split draws with it, and each model builds and trains from one rng, seeded
@@ -298,7 +289,7 @@ def experiment(cube: DataCube, labels: LabelMap, split: SplitSpec, model: dict,
     runs = {}
     for name, baseline, offset in (("dual", False, 1), ("baseline", True, 2))[baseline_only:]:
         rng = create_rng(split.seed + offset)
-        net = build(ModelConfig(cube.bands, k, baseline=baseline, **model), rng)
+        net = build(model.fit(cube.bands, k, baseline), rng)
         history = train(
             net, raster_features[train_px], raster_coords[train_px], truth[train_px],
             train_cfg, rng
@@ -369,7 +360,7 @@ def cmd_energy(args) -> int:
         )
     if max(cfg.appearance_bands) >= cube.bands:
         raise ValueError(
-            f"appearance_bands {cfg.appearance_bands} out of range for "
+            f"appearance_bands {list(cfg.appearance_bands)} out of range for "
             f"{cube.bands} bands"
         )
     cube = normalize_cube(cube)  # drops the raw cube

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -41,14 +41,14 @@ class CheckpointError(ValueError):
 
 
 @dataclass(frozen=True)
-class ModelConfig:
-    """Layer sizes of one network, checked when made: a field of the wrong
-    type raises TypeError, a network that cannot be built ValueError. An int
-    `keep_prob` is stored as a float, so equal configs save equal checkpoints.
-    It is frozen; `dataclasses.replace` makes a changed copy, checked the same way."""
+class NetworkConfig:
+    """Layer sizes of the network, a config's `model` section, checked when
+    made: a field of the wrong type raises TypeError; a width below 1, a
+    `keep_prob` outside (0, 1] or a network over the parameter cap on every
+    cube ValueError. An int `keep_prob` is stored as a float, so equal configs
+    save equal checkpoints. It is frozen; `dataclasses.replace` makes a
+    changed copy, checked the same way."""
 
-    num_bands: int
-    num_classes: int
     conv_filters: int = 20
     kernel_len: int = 10
     pool_width: int = 2
@@ -56,7 +56,27 @@ class ModelConfig:
     dense_width: int = 100
     coord_hidden: int = 256
     keep_prob: float = 0.75
-    baseline: bool = False
+
+    def __post_init__(self):
+        type_fields(self)
+        # Over the cap at the smallest cube it fits, a network is over it on every cube.
+        self.fit(self.kernel_len + self.pool_width - 1, 2)
+
+    def fit(self, num_bands: int, num_classes: int, baseline: bool = False) -> ModelConfig:
+        """This network sized to a cube of `num_bands` bands and `num_classes` classes."""
+        sizes = {f.name: getattr(self, f.name) for f in fields(NetworkConfig)}
+        return ModelConfig(num_bands=num_bands, num_classes=num_classes, baseline=baseline,
+                           **sizes)
+
+
+@dataclass(frozen=True)
+class ModelConfig(NetworkConfig):
+    """A network sized to one cube, as `NetworkConfig.fit` makes it: a field of
+    the wrong type raises TypeError, a network that cannot be built ValueError."""
+
+    num_bands: int = field(kw_only=True)
+    num_classes: int = field(kw_only=True)
+    baseline: bool = field(default=False, kw_only=True)
 
     @property
     def conv_len(self) -> int:
@@ -71,6 +91,7 @@ class ModelConfig:
         return self.conv_filters * self.pooled_len
 
     def __post_init__(self):
+        # Replaces NetworkConfig's check, which makes a ModelConfig to run this one.
         type_fields(self)
         widths = [v for v in vars(self).values() if type(v) is int]
         if min(widths) < 1:

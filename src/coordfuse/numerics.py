@@ -62,13 +62,13 @@ _KINDS = {int: "an integer", float: "a number", str: "a string", bool: "a boolea
 
 def typed(key: str, val, kind):
     """`val` if it has the field type `kind`, else TypeError naming `key`.
-    Ints widen to float; nothing else is converted, and a bool is never a
-    number."""
-    if get_origin(kind) is list:
-        if not isinstance(val, list) or not val:
+    Ints widen to float and a list (a JSON array) becomes a tuple; nothing
+    else is converted, and a bool is never a number."""
+    if get_origin(kind) is tuple:
+        if not isinstance(val, (list, tuple)) or not val:
             raise TypeError(f"{key} must be a non-empty list")
-        (item,) = get_args(kind)
-        return [typed(f"{key}[{i}]", v, item) for i, v in enumerate(val)]
+        item, _ = get_args(kind)  # tuple[item, ...]
+        return tuple(typed(f"{key}[{i}]", v, item) for i, v in enumerate(val))
     if kind in (int, float) and isinstance(val, bool):
         raise TypeError(f"{key} must be a number, got {val!r}")
     if kind is float and isinstance(val, int):

@@ -39,7 +39,7 @@ from coordfuse.layers import (
     maxpool1d_forward,
     softmax,
 )
-from coordfuse.model import ModelConfig, backward, build, forward
+from coordfuse.model import ModelConfig, NetworkConfig, backward, build, forward
 from coordfuse.numerics import create_rng
 from coordfuse.optimizer import TrainConfig
 
@@ -187,8 +187,8 @@ def test_criterion_3_coordinate_separability(capsys):
         cube, labels = generate_synthetic(
             create_rng(seed), 64, 64, 30, 6, noise=0.05, coordinate_separable=True
         )
-        _, runs = experiment(normalize_cube(cube), labels, SplitSpec(0.05, seed=seed), {},
-                             TrainConfig(max_epochs=100))
+        _, runs = experiment(normalize_cube(cube), labels, SplitSpec(0.05, seed=seed),
+                             NetworkConfig(), TrainConfig(max_epochs=100))
         gaps.append(runs["dual"].report.oa - runs["baseline"].report.oa)
     elapsed = time.time() - t0
     median_gap = float(np.median(gaps))
@@ -213,7 +213,7 @@ def test_criterion_4_benchmark_reproduction(capsys):
         pytest.skip("benchmark data not supplied")
     t0 = time.time()
     _, runs = experiment(normalize_cube(load_cube(cube_path)), load_labels(labels_path),
-                         SplitSpec(0.05, seed=0), {}, TrainConfig())
+                         SplitSpec(0.05, seed=0), NetworkConfig(), TrainConfig())
     results = {name: run.report for name, run in runs.items()}
     elapsed = time.time() - t0
     gap = results["dual"].oa - results["baseline"].oa

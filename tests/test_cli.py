@@ -40,7 +40,7 @@ from coordfuse.evaluation import (
     render_map,
     write_report,
 )
-from coordfuse.model import ModelConfig, load_checkpoint, save_checkpoint
+from coordfuse.model import ModelConfig, NetworkConfig, load_checkpoint, save_checkpoint
 from coordfuse.numerics import create_rng
 from coordfuse.optimizer import NumericalError, TrainConfig, train
 
@@ -96,12 +96,12 @@ def test_load_config_defaults(tmp_path):
     cfg = load_config(path)
     assert cfg.fraction == 0.05
     assert cfg.seed == 0
-    assert cfg.model["conv_filters"] == 20
-    assert cfg.model["keep_prob"] == 0.75
+    assert cfg.model.conv_filters == 20
+    assert cfg.model.keep_prob == 0.75
     assert cfg.train.max_epochs == 500
     assert cfg.train.batch_size == 64
     assert cfg.crf.theta_alpha == 8.0
-    assert cfg.appearance_bands == [0, 1, 2]
+    assert cfg.appearance_bands == (0, 1, 2)
 
 
 @pytest.mark.parametrize(
@@ -195,8 +195,8 @@ def test_load_config_rejects(tmp_path, body, message):
 
 @pytest.mark.parametrize(
     "config",
-    [ModelConfig(num_bands=16, num_classes=3), TrainConfig(), CrfParams(), SplitSpec(0.05),
-     ExperimentConfig(cube="a", labels="b")],
+    [NetworkConfig(), ModelConfig(num_bands=16, num_classes=3), TrainConfig(), CrfParams(),
+     SplitSpec(0.05), ExperimentConfig(cube="a", labels="b")],
     ids=lambda config: type(config).__name__,
 )
 def test_config_objects_are_frozen(config):
@@ -218,6 +218,7 @@ def test_a_bad_config_object_cannot_be_made():
 # One value of each JSON kind; a field is given every one its type does not accept.
 WRONG_KINDS = {"str": "x", "bool": True, "float": 1.5, "list": [1], "dict": {}, "None": None}
 CONFIG_CLASSES = {
+    NetworkConfig: {},
     ModelConfig: {"num_bands": 16, "num_classes": 3},
     TrainConfig: {},
     CrfParams: {},
@@ -232,6 +233,7 @@ def _mistyped(cls):
     for f in dataclasses.fields(cls):
         kind = typing.get_origin(hints[f.name]) or hints[f.name]
         kind = dict if dataclasses.is_dataclass(kind) else kind  # a section given as an object
+        kind = list if kind is tuple else kind  # a tuple given as a JSON list
         for label, value in WRONG_KINDS.items():
             if type(value) is not kind:
                 yield f.name, value, f"{cls.__name__}.{f.name}-{label}"
@@ -270,13 +272,27 @@ def test_load_config_names_a_mistyped_field(tmp_path, section, name, value):
 def test_experiment_config_completes_its_sections():
     defaults = ExperimentConfig(cube="a", labels="b")
     cfg = ExperimentConfig(cube="a", labels="b", model={"dense_width": 5}, crf={"w1": 2})
-    assert cfg.model == {**defaults.model, "dense_width": 5}
+    assert cfg.model == dataclasses.replace(defaults.model, dense_width=5)
     assert cfg.crf == CrfParams(w1=2.0) and isinstance(cfg.crf.w1, float)
     assert cfg.train == defaults.train == TrainConfig()
-    assert dataclasses.replace(cfg, model={"kernel_len": 3}).model["dense_width"] == 100
+    assert dataclasses.replace(cfg, model={"kernel_len": 3}).model.dense_width == 100
     assert dataclasses.replace(cfg, train={"max_epochs": 3}).train == TrainConfig(max_epochs=3)
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.train.max_epochs = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.model.dense_width = 3
+    with pytest.raises(TypeError):
+        cfg.appearance_bands[0] = -1
+
+
+def test_a_model_config_is_no_model_section():
+    # A ModelConfig is a NetworkConfig that also holds a cube's sizes, which a
+    # config may not set.
+    with pytest.raises(UsageError, match="section 'model'"):
+        ExperimentConfig(cube="a", labels="b", model=ModelConfig(num_bands=16, num_classes=3))
+    net = NetworkConfig(kernel_len=3)
+    assert ExperimentConfig(cube="a", labels="b", model=net).model is net
+    assert net.fit(16, 3) == ModelConfig(kernel_len=3, num_bands=16, num_classes=3)
 
 
 def test_load_config_missing_file(tmp_path):
@@ -384,7 +400,7 @@ def test_run_bad_labels_exit_2(tmp_path, capsys, label_rows, message):
     cube = DataCube(create_rng(0).random((6, 6, 8)))
     labels = LabelMap(np.repeat(label_rows, 6).reshape(len(label_rows), 6))
     with pytest.raises(ValueError, match=message):
-        experiment(cube, labels, SplitSpec(0.2), {}, TrainConfig(max_epochs=1))
+        experiment(cube, labels, SplitSpec(0.2), NetworkConfig(), TrainConfig(max_epochs=1))
     save_cube(cube, tmp_path / "c.hcube")
     save_labels(labels, tmp_path / "l.hlbl")
     config = write_config(tmp_path / "cfg.json", tmp_path / "c.hcube", tmp_path / "l.hlbl")
@@ -445,7 +461,7 @@ def test_synth_emitted_config_is_loadable(tmp_path):
     cfg = load_config(cfg_path)
     assert cfg.cube == str(cube)
     # default kernel shrinks to fit the 8-band cube
-    assert cfg.model["kernel_len"] == 7
+    assert cfg.model.kernel_len == 7
     assert load_cube(cube).bands == 8
 
 
@@ -635,7 +651,7 @@ def test_run_writes_what_experiment_returns(tiny_experiment, tmp_path):
     "shape,model,message",
     [
         (("6", "6", "8"), {"kernel_len": 10}, "kernel length 10 exceeds 8 bands"),
-        # Fits load_config's stand-in band count, not the cube's 20000 bands.
+        # Fits the smallest cube load_config checks at, not the cube's 20000 bands.
         (("3", "3", "20000"), {"conv_filters": 1000, "dense_width": 1000},
          "parameters exceed the 4294967296 cap"),
     ],
@@ -859,6 +875,17 @@ def test_energy_missing_checkpoint_exits_2(tiny_experiment, tmp_path):
          "--out-dir", str(tmp_path / "empty"), "--crop", "0,0,4,4"]
     )
     assert rc == 2
+
+
+def test_energy_appearance_band_out_of_range_exits_2(tiny_experiment, tmp_path, capsys):
+    config = write_config(tmp_path / "cfg.json", tiny_experiment["cube"],
+                          tiny_experiment["labels"], appearance_bands=[0, 8])
+    rc = main(["energy", "--config", str(config), "--out-dir", str(tiny_experiment["out"]),
+               "--crop", "0,0,4,4"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == "data error: appearance_bands [0, 8] out of range for 8 bands\n"
+    assert captured.out == ""
 
 
 def test_energy_non_finite_checkpoint_exits_2(tiny_experiment, tmp_path, capsys):
