@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from coordfuse.numerics import atomic_write, create_rng, require_finite, type_fields
+from coordfuse.numerics import atomic_write, create_rng, type_fields
 
 CUBE_MAGIC = b"HCB1"
 LABEL_MAGIC = b"HLB1"
@@ -38,18 +38,6 @@ _BLOCK_BYTES = 1 << 20
 
 class CubeFormatError(ValueError):
     """A raster file does not conform to its declared format."""
-
-
-class BadMagicError(CubeFormatError):
-    """The file does not start with the expected magic bytes."""
-
-
-class TruncatedPayloadError(CubeFormatError):
-    """The payload size disagrees with the header dimensions."""
-
-
-class DimensionOverflowError(CubeFormatError):
-    """Header dimensions are zero or implausibly large."""
 
 
 class CsvFormatError(ValueError):
@@ -165,18 +153,18 @@ def _read_raster(path, magic: bytes, n_dims: int, dtype: str, out_dtype) -> np.n
     with open(path, "rb", buffering=0) as f:  # unbuffered: no read-ahead copy
         header = f.read(header_len)
         if header[:4] != magic:
-            raise BadMagicError(f"{path}: expected magic {magic!r}, got {header[:4]!r}")
+            raise CubeFormatError(f"{path}: expected magic {magic!r}, got {header[:4]!r}")
         if len(header) < header_len:
-            raise TruncatedPayloadError(f"{path}: header is incomplete")
+            raise CubeFormatError(f"{path}: header is incomplete")
         dims = struct.unpack(f"<{n_dims}I", header[4:])
         shape, n = "x".join(map(str, dims)), math.prod(dims)
         if min(dims) < 1 or n > MAX_ELEMENTS:
-            raise DimensionOverflowError(f"{path}: implausible dimensions {shape}")
+            raise CubeFormatError(f"{path}: implausible dimensions {shape}")
         itemsize = np.dtype(dtype).itemsize
         expected = header_len + n * itemsize
         size = os.fstat(f.fileno()).st_size
         if size != expected:
-            raise TruncatedPayloadError(
+            raise CubeFormatError(
                 f"{path}: expected {expected} bytes for {shape}, got {size}"
             )
         out = np.empty(n, dtype=out_dtype)
@@ -187,7 +175,7 @@ def _read_raster(path, magic: bytes, n_dims: int, dtype: str, out_dtype) -> np.n
             while rest.size:  # a raw read may return fewer bytes than asked
                 got = f.readinto(rest)
                 if not got:
-                    raise TruncatedPayloadError(
+                    raise CubeFormatError(
                         f"{path}: payload ended after {f.tell() - header_len} "
                         f"of {n * itemsize} bytes"
                     )
@@ -238,6 +226,7 @@ def from_csv(path) -> tuple[DataCube, LabelMap]:
     first line and must be consistent. Duplicate pixels, band values that
     are not finite as float32, labels above the u16 maximum and grids of
     more than MAX_ELEMENTS values are errors, raised before any grid is made.
+    Each pixel is kept as its checked float32 row, the values a cube file stores.
     """
     pixels = {}
     n_bands = None
@@ -268,7 +257,7 @@ def from_csv(path) -> tuple[DataCube, LabelMap]:
                 )
             if (row, col) in pixels:
                 raise CsvFormatError(f"{path}:{lineno}: duplicate pixel ({row}, {col})")
-            pixels[(row, col)] = (label, values)
+            pixels[(row, col)] = (label, stored)
     if not pixels:
         raise CsvFormatError(f"{path}: no pixel rows")
     height = max(r for r, _ in pixels) + 1
@@ -293,8 +282,8 @@ def normalize_cube(cube: DataCube) -> DataCube:
     lo = cube.values.min(axis=(0, 1))
     hi = cube.values.max(axis=(0, 1))
     # NaN and +-Inf anywhere in a band carry through to its min or max.
-    require_finite(lo, "cube")
-    require_finite(hi, "cube")
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("cube contains NaN or Inf values")
     span = hi - lo
     span[span == 0.0] = 1.0  # a constant band is all lo, so it scales to 0 / 1
     scaled = np.subtract(cube.values, lo)

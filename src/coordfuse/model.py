@@ -93,9 +93,9 @@ class ModelConfig(NetworkConfig):
     def __post_init__(self):
         # Replaces NetworkConfig's check, which makes a ModelConfig to run this one.
         type_fields(self)
-        widths = [v for v in vars(self).values() if type(v) is int]
-        if min(widths) < 1:
-            raise ValueError(f"all widths must be positive: {self}")
+        for name, value in vars(self).items():
+            if type(value) is int and value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
         if self.num_classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.num_classes}")
         if self.kernel_len > self.num_bands:

@@ -24,8 +24,7 @@ from typing import IO, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-__all__ = ["atomic_write", "create_rng", "glorot_init", "require_finite", "type_fields",
-           "typed"]
+__all__ = ["atomic_write", "create_rng", "glorot_init", "type_fields", "typed"]
 
 _SEED_LIMIT = 2**64
 
@@ -48,13 +47,6 @@ def glorot_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarr
         raise ValueError(f"fan_in and fan_out must be >= 1, got ({fan_in}, {fan_out})")
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
-def require_finite(arr: np.ndarray, name: str) -> np.ndarray:
-    """Return `arr` unchanged, raising if it contains NaN or Inf."""
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains NaN or Inf values")
-    return arr
 
 
 _KINDS = {int: "an integer", float: "a number", str: "a string", bool: "a boolean"}

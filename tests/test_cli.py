@@ -161,8 +161,14 @@ def test_load_config_defaults(tmp_path):
         ('{"cube": "a", "labels": "b", "crf": {"typo": 1}}',
          "unknown keys in config section 'crf'"),
         # `run` sets the per-run fields itself; the config may not.
-        ('{"cube": "a", "labels": "b", "model": {"num_bands": 5}}',
-         "unknown keys in config section 'model'"),
+        *(
+            (f'{{"cube": "a", "labels": "b", "model": {{"{key}": {value}}}}}',
+             "unknown keys in config section 'model'")
+            for key, value in (("num_bands", 5), ("num_classes", 5), ("baseline", "true"))
+        ),
+        # A bad width is named as written, not through a network sized to a cube.
+        ('{"cube": "a", "labels": "b", "model": {"conv_filters": 0}}',
+         r"^(?!.*num_bands).*conv_filters must be positive, got 0$"),
         # A layer this wide needs terabytes: rejected before any data is read.
         *(
             (f'{{"cube": "a", "labels": "b", "model": {{"{key}": 1000000000}}}}', "parameters")
@@ -265,7 +271,11 @@ def test_load_config_names_a_mistyped_field(tmp_path, section, name, value):
         raw[name] = value
     path = tmp_path / "c.json"
     path.write_text(json.dumps(raw))
-    with pytest.raises(UsageError, match=name):
+    message = name
+    # A cube's sizes are ModelConfig fields but no key of the section, whatever their type.
+    if section == "model" and name not in {f.name for f in dataclasses.fields(NetworkConfig)}:
+        message = rf"^unknown keys in config section 'model': \['{name}'\]$"
+    with pytest.raises(UsageError, match=message):
         load_config(path)
 
 

@@ -1,6 +1,9 @@
 import contextlib
 import hashlib
 import io
+import json
+import math
+import re
 import struct
 import tracemalloc
 
@@ -8,14 +11,13 @@ import numpy as np
 import pytest
 
 from coordfuse import dataset as dataset_module
+from coordfuse.cli import main
 from coordfuse.dataset import (
-    BadMagicError,
     CsvFormatError,
+    CubeFormatError,
     DataCube,
-    DimensionOverflowError,
     LabelMap,
     SplitSpec,
-    TruncatedPayloadError,
     coord_features,
     extract_samples,
     from_csv,
@@ -184,26 +186,59 @@ def test_cube_header_layout(tmp_path):
     assert len(blob) == 16 + 2 * 3 * 4 * 4
 
 
-def test_load_cube_error_cases(tmp_path):
-    path = tmp_path / "bad"
-    path.write_bytes(b"NOPE" + b"\x00" * 20)
-    with pytest.raises(BadMagicError):
-        load_cube(path)
-    path.write_bytes(b"HCB1\x01\x00")
-    with pytest.raises(TruncatedPayloadError):
-        load_cube(path)
-    path.write_bytes(b"HCB1" + struct.pack("<III", 2, 2, 2) + b"\x00" * 8)
-    with pytest.raises(TruncatedPayloadError):
-        load_cube(path)
-    path.write_bytes(b"HCB1" + struct.pack("<III", 2, 2, 2) + b"\x00" * 40)
-    with pytest.raises(TruncatedPayloadError):  # trailing garbage
-        load_cube(path)
-    path.write_bytes(b"HCB1" + struct.pack("<III", 0, 2, 2))
-    with pytest.raises(DimensionOverflowError):
-        load_cube(path)
-    path.write_bytes(b"HCB1" + struct.pack("<III", 2**20, 2**20, 2**20))
-    with pytest.raises(DimensionOverflowError):
-        load_cube(path)
+# Per raster format: its loader, magic, payload type and the dimensions of a
+# valid file of zeros, whose bytes the fault table below breaks one way at a time.
+RASTERS = {
+    "cube": (load_cube, b"HCB1", "<f4", (2, 3, 4)),
+    "labels": (load_labels, b"HLB1", "<u2", (2, 3)),
+}
+
+
+def _header(fmt, dims) -> bytes:
+    return RASTERS[fmt][1] + struct.pack(f"<{len(dims)}I", *dims)
+
+
+def _valid_raster(fmt) -> bytes:
+    _, _, dtype, dims = RASTERS[fmt]
+    return _header(fmt, dims) + bytes(math.prod(dims) * np.dtype(dtype).itemsize)
+
+
+def _raster_faults():
+    """pytest params (format, file bytes, message) of malformed raster files."""
+    for fmt, (_, magic, _, dims) in RASTERS.items():
+        head, valid = _header(fmt, dims), _valid_raster(fmt)
+        for n in range(len(head)):  # every length inside the header
+            message = (f"expected magic {magic!r}, got {head[:n]!r}" if n < 4
+                       else "header is incomplete")
+            yield pytest.param(fmt, head[:n], message, id=f"{fmt}-{n}-bytes")
+        other = next(m for _, m, _, _ in RASTERS.values() if m != magic)
+        yield pytest.param(fmt, other + valid[4:], f"expected magic {magic!r}, got {other!r}",
+                           id=f"{fmt}-other-magic")
+        over = (2**16 + 1, 2**16, 1)[: len(dims)]  # 2**32 + 2**16 values
+        for bad in [*(dims[:i] + (0,) + dims[i + 1 :] for i in range(len(dims))), over]:
+            shape = "x".join(map(str, bad))
+            yield pytest.param(fmt, _header(fmt, bad), f"implausible dimensions {shape}",
+                               id=f"{fmt}-{shape}")
+        shape = "x".join(map(str, dims))
+        for blob in (valid[:-1], valid + b"\0"):
+            yield pytest.param(fmt, blob, f"expected {len(valid)} bytes for {shape}, got {len(blob)}",
+                               id=f"{fmt}-{len(blob) - len(valid):+d}-byte")
+
+
+@pytest.mark.parametrize("fmt, blob, message", list(_raster_faults()))
+def test_a_malformed_raster_file_is_a_cube_format_error(tmp_path, capsys, fmt, blob, message):
+    paths = {name: tmp_path / name for name in RASTERS}
+    for name, path in paths.items():
+        path.write_bytes(blob if name == fmt else _valid_raster(name))
+    with pytest.raises(CubeFormatError, match=f"^{re.escape(f'{paths[fmt]}: {message}')}$") as exc:
+        RASTERS[fmt][0](paths[fmt])
+    # `run` with a config naming the file: exit 2, the same message and nothing written.
+    config, out = tmp_path / "c.json", tmp_path / "out"
+    config.write_text(json.dumps({"cube": str(paths["cube"]), "labels": str(paths["labels"]),
+                                  "out_dir": str(out)}))
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"data error: {exc.value}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -217,7 +252,7 @@ def test_load_checks_file_size_before_reading_payload(tmp_path, load, header, di
     path = tmp_path / "short"
     path.write_bytes(header + b"\x00" * 8)
     message = f"expected {expected} bytes for {dims}, got {len(header) + 8}$"
-    with pytest.raises(TruncatedPayloadError, match=message):
+    with pytest.raises(CubeFormatError, match=message):
         load(path)
     # A sparse 64 MiB file is rejected from its size alone, without reading it.
     path = tmp_path / "long"
@@ -226,7 +261,7 @@ def test_load_checks_file_size_before_reading_payload(tmp_path, load, header, di
         f.truncate(64 << 20)
     tracemalloc.start()
     try:
-        with pytest.raises(TruncatedPayloadError, match=f"got {64 << 20}$"):
+        with pytest.raises(CubeFormatError, match=f"got {64 << 20}$"):
             load(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -285,16 +320,6 @@ def test_save_labels_rejects_u16_overflow(tmp_path):
     lm = LabelMap(np.array([[65536]]))
     with pytest.raises(ValueError):
         save_labels(lm, tmp_path / "l.hlbl")
-
-
-def test_load_labels_error_cases(tmp_path):
-    path = tmp_path / "bad"
-    path.write_bytes(b"HCB1" + b"\x00" * 10)
-    with pytest.raises(BadMagicError):
-        load_labels(path)
-    path.write_bytes(b"HLB1" + struct.pack("<II", 2, 2) + b"\x00" * 6)
-    with pytest.raises(TruncatedPayloadError):
-        load_labels(path)
 
 
 def test_from_csv_single_pixel(tmp_path):
@@ -359,6 +384,20 @@ def test_from_csv_accepts_values_up_to_float32_max(tmp_path):
     out = tmp_path / "c.hcube"
     save_cube(cube, out)
     assert np.array_equal(load_cube(out).values[0, 0], np.float32([3.4e38, -3.4e38]))
+
+
+def test_from_csv_keeps_each_pixel_as_float32(tmp_path):
+    h, w, b = 40, 30, 50
+    values = create_rng(2).random((h, w, b)).astype(np.float32)
+    path = tmp_path / "p.csv"
+    with open(path, "w") as f:
+        for (r, c), label in np.ndenumerate(1 + np.indices((h, w)).sum(axis=0) % 3):
+            f.write(f"{r},{c},{label},{','.join(map(str, values[r, c]))}\n")
+    (cube, labels), peak = _traced_peak(from_csv, path)
+    # Beside the cube and labels it returns, from_csv held 9.1 times the
+    # float32 payload while it kept each pixel as a list of Python floats.
+    assert peak - cube.values.nbytes - labels.labels.nbytes <= 3 * values.nbytes
+    assert np.array_equal(cube.values, values)
 
 
 def test_from_csv_reports_line_numbers(tmp_path):
@@ -652,5 +691,5 @@ def test_load_short_payload_read_is_truncation(tmp_path, monkeypatch, limit):
     # is an error, not a partly zero cube.
     stop[0] = 16 + payload - 4004
     message = f"ended after {payload - 4004} of {payload} bytes$"
-    with pytest.raises(TruncatedPayloadError, match=message):
+    with pytest.raises(CubeFormatError, match=message):
         load_cube(path)

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from coordfuse.numerics import atomic_write, create_rng, glorot_init, require_finite
+from coordfuse.numerics import atomic_write, create_rng, glorot_init
 
 
 def test_same_seed_same_stream():
@@ -52,14 +52,6 @@ def test_glorot_rejects_bad_fans():
     for fan_in, fan_out in ((0, 5), (5, 0), (-1, 5)):
         with pytest.raises(ValueError):
             glorot_init(rng, fan_in, fan_out)
-
-
-def test_require_finite():
-    require_finite(np.ones(3), "ok")
-    for bad in (np.nan, np.inf, -np.inf):
-        arr = np.array([1.0, bad])
-        with pytest.raises(ValueError, match="spectra"):
-            require_finite(arr, "spectra")
 
 
 def test_atomic_write_replaces_the_whole_file_or_nothing(tmp_path):
