@@ -29,6 +29,10 @@ logger = logging.getLogger(__name__)
 
 PROB_FLOOR = 1e-12
 
+# The conv makes its filter products in blocks of rows of at most this many
+# float64 values (256 KiB), through one buffer per call.
+_BLOCK_VALUES = 1 << 15
+
 
 class ShapeError(ValueError):
     """An input does not match a layer's expected dimensions."""
@@ -75,9 +79,13 @@ def conv1d_forward(layer: Conv1d, x: np.ndarray, width: int = 1, stride: int = 1
     The default (1, 1) returns the plain maps, (n, n_filters, length -
     kernel_len + 1). The pool runs on the bias-free products, and the bias
     and ReLU on its maxima only: both are monotone, so the result is bitwise
-    maxpool1d_forward(conv1d_forward(layer, x), width, stride).
+    maxpool1d_forward(conv1d_forward(layer, x), width, stride). The products
+    are made in blocks of rows of at most _BLOCK_VALUES float64 values (one
+    row if a row's maps are larger), each written into one buffer allocated
+    per call and pooled into its rows of the result, so no product array
+    for all n rows is made.
     """
-    kernel_len = layer.weights.shape[1]
+    n_filters, kernel_len = layer.weights.shape
     if x.ndim != 2:
         raise ShapeError(f"conv1d expects (n, length), got shape {x.shape}")
     if x.shape[1] < kernel_len:
@@ -85,9 +93,17 @@ def conv1d_forward(layer: Conv1d, x: np.ndarray, width: int = 1, stride: int = 1
             f"input length {x.shape[1]} is shorter than the kernel ({kernel_len})"
         )
     # The overlapping window view has no BLAS layout, so numpy sums each output
-    # over the taps in order: every row gets the bits of a one-row stack.
-    products = layer.weights @ _windows(x, kernel_len).swapaxes(-1, -2)  # (n, F, L)
-    out = maxpool1d_forward(products, width, stride)
+    # over the taps in order: every row gets the bits of a one-row stack, in
+    # any block.
+    windows = _windows(x, kernel_len).swapaxes(-1, -2)  # (n, K, L)
+    conv_len = windows.shape[-1]
+    out = np.empty((len(x), n_filters, _pooled_len(conv_len, width, stride)))
+    block = max(1, _BLOCK_VALUES // (n_filters * conv_len))
+    buf = np.empty((min(block, len(x)), n_filters, conv_len))
+    for start in range(0, len(x), block):
+        rows = windows[start : start + block]
+        products = np.matmul(layer.weights, rows, out=buf[: len(rows)])
+        maxpool1d_forward(products, width, stride, out=out[start : start + block])
     out += layer.bias[:, None]
     return np.maximum(out, 0.0, out=out)
 
@@ -110,22 +126,31 @@ def conv1d_backward(
     return (g @ _windows(x, layer.weights.shape[1])).sum(axis=0), g.sum(axis=(0, 2))
 
 
-def maxpool1d_forward(x: np.ndarray, width: int, stride: int) -> np.ndarray:
+def _pooled_len(length: int, width: int, stride: int) -> int:
+    """Number of pool windows of `width` columns every `stride` columns over
+    `length` columns; a trailing remainder shorter than `width` is dropped."""
+    if width < 1 or stride < 1:
+        raise ValueError(f"width and stride must be >= 1, got ({width}, {stride})")
+    if length < width:
+        raise ShapeError(f"map length {length} is shorter than the window ({width})")
+    return (length - width) // stride + 1
+
+
+def maxpool1d_forward(
+    x: np.ndarray, width: int, stride: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Window maxima over the last axis of an (n, n_maps, length) stack of
-    feature maps.
+    feature maps, written into `out` when given.
 
     Only the maxima are kept: maxpool1d_backward recomputes which column each
     one came from. A trailing remainder shorter than `width` is dropped.
     """
     if x.ndim != 3:
         raise ShapeError(f"maxpool expects (n, n_maps, length), got shape {x.shape}")
-    if width < 1 or stride < 1:
-        raise ValueError(f"width and stride must be >= 1, got ({width}, {stride})")
-    if x.shape[-1] < width:
-        raise ShapeError(f"map length {x.shape[-1]} is shorter than the window ({width})")
-    span = stride * ((x.shape[-1] - width) // stride) + 1
-    # One strided tap per window offset; the first maximum allocates the result.
-    pooled = np.maximum(x[..., 0:span:stride], x[..., width - 1 : width - 1 + span : stride])
+    span = stride * (_pooled_len(x.shape[-1], width, stride) - 1) + 1
+    # One strided tap per window offset; the first maximum fills the result.
+    pooled = np.maximum(x[..., 0:span:stride], x[..., width - 1 : width - 1 + span : stride],
+                        out=out)
     for k in range(1, width - 1):
         np.maximum(pooled, x[..., k : k + span : stride], out=pooled)
     return pooled
@@ -142,7 +167,7 @@ def maxpool1d_backward(
     """
     if x.ndim != 3:
         raise ShapeError(f"maxpool backward expects (n, n_maps, length) maps, got {x.shape}")
-    n_windows = (x.shape[-1] - width) // stride + 1
+    n_windows = _pooled_len(x.shape[-1], width, stride)
     if pooled.shape != (*x.shape[:2], n_windows) or grad_out.shape != pooled.shape:
         raise ShapeError(f"maps {x.shape} with window ({width}, {stride}) disagree with "
                          f"pooled {pooled.shape} and grad {grad_out.shape}")

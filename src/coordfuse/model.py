@@ -19,6 +19,7 @@ import numpy as np
 
 from coordfuse.dataset import MAX_ELEMENTS
 from coordfuse.layers import (
+    _BLOCK_VALUES,
     Conv1d,
     Dense,
     ShapeError,
@@ -321,17 +322,16 @@ def _chunk_rows(cfg: ModelConfig, input_bytes: int) -> int:
 
     A chunk's intermediates stay within max(1 MiB, input_bytes // 8): the
     caller already holds the input, so the extra memory is at most an eighth
-    of it on large inputs. Per row, forward keeps filters * (L + T) float64
-    values for the conv maps (length L) and the pooled maxima (length T),
-    next to the coordinate hidden layer and six dense-width vectors; counting
-    16 bytes, two float64 values, for each covers the temporaries beside them.
+    of it on large inputs. The conv's product buffer, one block of at most
+    _BLOCK_VALUES float64 values (or one row's maps if larger) whatever the
+    chunk size, comes off that budget first. Per row, forward then keeps
+    filters * T float64 values for the pooled maxima (length T), next to the
+    coordinate hidden layer and six dense-width vectors; counting 16 bytes,
+    two float64 values, for each covers the temporaries beside them.
     """
-    row_bytes = 16 * (
-        cfg.conv_filters * (cfg.conv_len + cfg.pooled_len)
-        + cfg.coord_hidden
-        + 6 * cfg.dense_width
-    )
-    return max(1, max(_CHUNK_FLOOR_BYTES, input_bytes // 8) // row_bytes)
+    block_bytes = 8 * max(_BLOCK_VALUES, cfg.conv_filters * cfg.conv_len)
+    row_bytes = 16 * (cfg.conv_filters * cfg.pooled_len + cfg.coord_hidden + 6 * cfg.dense_width)
+    return max(1, (max(_CHUNK_FLOOR_BYTES, input_bytes // 8) - block_bytes) // row_bytes)
 
 
 def _forward_chunks(model: DualBranchModel, features, coords):

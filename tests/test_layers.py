@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from checks import MARGIN, fd_wrt, norm_rel_err
 from numpy.lib.stride_tricks import sliding_window_view
 
+from coordfuse import layers as layers_module
 from coordfuse.layers import (
     Conv1d,
     Dense,
@@ -407,20 +409,45 @@ POOL_WINDOWS = [(1, 1), (2, 2), (3, 2), (2, 3), (3, 1), (4, 4)]
 
 
 @pytest.mark.parametrize("width,stride", POOL_WINDOWS)
-def test_conv_pooled_forward_is_the_pool_of_the_maps(width, stride):
+def test_conv_pooled_forward_is_the_pool_of_the_maps(width, stride, monkeypatch):
     rng = create_rng(22)
     # Biases of both signs, large enough that some filters clip almost
     # everywhere and others almost nowhere.
     layer = Conv1d(rng.normal(size=(6, 5)), np.array([-3.0, -0.5, 0.0, 0.5, 3.0, -1.0]))
-    x = rng.normal(size=(5, 23))
+    x = rng.normal(size=(600, 23))
+    blocks = []
+
+    def spy(maps, *args, _pool=layers_module.maxpool1d_forward, **kwargs):
+        blocks.append(len(maps))
+        return _pool(maps, *args, **kwargs)
+
+    monkeypatch.setattr(layers_module, "maxpool1d_forward", spy)
     pooled = conv1d_forward(layer, x, width, stride)
+    # 6 filters by 19 columns: 287 rows fill a block, and the last one is short.
+    assert blocks == [287, 287, 26]
     assert np.array_equal(pooled, maxpool1d_forward(conv1d_forward(layer, x), width, stride))
     assert 0.0 < np.mean(pooled == 0.0) < 1.0
-    for i in range(5):
+    for i in range(len(x)):
         single = conv1d_forward(layer, x[i][None], width, stride)
         maps = conv1d_forward(layer, x[i][None])
         assert np.array_equal(single, maxpool1d_forward(maps, width, stride))
         assert np.array_equal(pooled[i], single[0])
+
+
+def test_conv_forward_makes_its_products_one_block_at_a_time():
+    # At 220 bands all 500 rows' products would take 16.9 MB, (500, 20, 211).
+    rng = create_rng(25)
+    layer = Conv1d(rng.normal(size=(20, 10)), rng.normal(size=20))
+    x = rng.normal(size=(500, 220))
+    tracemalloc.start()
+    try:
+        pooled = conv1d_forward(layer, x, 2, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Beside the result: the 256 KiB product buffer and the 128 KiB numpy
+    # buffers the pool's strided taps through (384 KiB together), plus slack.
+    assert peak - pooled.nbytes <= (384 + 16) * 1024
 
 
 @pytest.mark.parametrize("width,stride", POOL_WINDOWS)
